@@ -186,13 +186,20 @@ def policy_sample(
     std = _clamped_std(params)
     raw = mean + std * rng.standard_normal(mean.shape)
     clamped = np.clip(raw, params.action_low, params.action_high)
-    return clamped, raw, policy_log_prob(params, obs, raw)
+    return clamped, raw, log_prob_at_mean(params, mean, raw)
 
 
 def policy_log_prob(
     params: GaussianPolicyParams, obs: np.ndarray, raw_action: np.ndarray
 ) -> np.ndarray:
-    mean = mlp_forward(params.trunk, obs)
+    return log_prob_at_mean(params, mlp_forward(params.trunk, obs), raw_action)
+
+
+def log_prob_at_mean(
+    params: GaussianPolicyParams, mean: np.ndarray, raw_action: np.ndarray
+) -> np.ndarray:
+    """policy_log_prob given the trunk output, so callers holding the
+    mean skip a second forward pass."""
     std = _clamped_std(params)
     zed = (np.asarray(raw_action) - mean) / std
     per_dim = -0.5 * zed**2 - np.log(std) - 0.5 * _LOG_2PI

@@ -432,14 +432,17 @@ def _enumerate_best(mdp: TabularMDP, objective, step: float = 1e-3) -> tuple[np.
 
     Among grid points within 1e-9 of the best score, the largest
     probabilities win, matching the analytic tie convention (ties
-    resolve toward probability one).
+    resolve toward probability one). The objective gets p_a as a column
+    and p_b as a row, so per-state terms are computed once per axis and
+    broadcast into the full grid.
     """
     grid = np.arange(0.0, 1.0 + step / 2, step)
-    p_a, p_b = np.meshgrid(grid, grid, indexing="ij")
-    scores = objective(p_a, p_b)
+    scores = objective(grid[:, None], grid[None, :])
     best = float(np.max(scores))
-    tied = np.argwhere(scores >= best - 1e-9)
-    i, j = max(tied, key=tuple)
+    tied = scores >= best - 1e-9
+    # lexicographically largest tied (i, j): last tied row, last tie in it
+    i = np.flatnonzero(tied.any(axis=1))[-1]
+    j = np.flatnonzero(tied[i])[-1]
     return np.array([grid[i], grid[j]]), float(scores[i, j])
 
 
@@ -469,15 +472,11 @@ def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None
     reward_arms = np.array([mdp.reward[s] for s in mdp.initial_states], dtype=np.float64)
     cost_arms = np.array([mdp.cost[s] for s in mdp.initial_states], dtype=np.float64)
 
-    def batch_stats(p_a, p_b):
-        ps = [p_a, p_b]
-        reach = reward = cost = 0.0
-        for i in range(2):
-            p = ps[i]
-            reach = reach + w[i] * (p * reach_arms[i, 0] + (1 - p) * reach_arms[i, 1])
-            reward = reward + w[i] * (p * reward_arms[i, 0] + (1 - p) * reward_arms[i, 1])
-            cost = cost + w[i] * (p * cost_arms[i, 0] + (1 - p) * cost_arms[i, 1])
-        return reach, reward, cost
+    def expected(arms, p_a, p_b):
+        out = 0.0
+        for i, p in enumerate((p_a, p_b)):
+            out = out + w[i] * (p * arms[i, 0] + (1 - p) * arms[i, 1])
+        return out
 
     if mode == "reach_min_cost":
         # force every state onto reaching arms, then take the cheaper arm
@@ -492,8 +491,8 @@ def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None
                 probs[i] = 1.0 if reaching[0] == 0 else 0.0
 
         def objective(p_a, p_b):
-            reach, _, cost = batch_stats(p_a, p_b)
-            return -cost - 1e6 * (reach < 1.0 - 1e-12)
+            reach = expected(reach_arms, p_a, p_b)
+            return -expected(cost_arms, p_a, p_b) - 1e6 * (reach < 1.0 - 1e-12)
 
     elif mode == "scalarized":
         if parameter is None:
@@ -505,8 +504,7 @@ def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None
             probs[i] = 1.0 if score0 >= score1 else 0.0
 
         def objective(p_a, p_b):
-            _, reward, cost = batch_stats(p_a, p_b)
-            return reward - parameter * cost
+            return expected(reward_arms, p_a, p_b) - parameter * expected(cost_arms, p_a, p_b)
 
     elif mode == "thresholded":
         if parameter is None:
@@ -532,7 +530,7 @@ def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None
                         candidates.append(tuple(pair))
         best, best_reward = None, -math.inf
         for a, b in candidates:
-            _, reward, cost = batch_stats(a, b)
+            reward, cost = expected(reward_arms, a, b), expected(cost_arms, a, b)
             if cost <= parameter + 1e-9 and reward > best_reward + 1e-12:
                 best, best_reward = (a, b), reward
         if best is None:
@@ -540,8 +538,8 @@ def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None
         probs = np.array(best)
 
         def objective(p_a, p_b):
-            _, reward, cost = batch_stats(p_a, p_b)
-            return reward - 1e6 * (cost > parameter + 1e-9)
+            cost = expected(cost_arms, p_a, p_b)
+            return expected(reward_arms, p_a, p_b) - 1e6 * (cost > parameter + 1e-9)
 
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -151,6 +151,8 @@ def _z_source_from_options(cfg, z, zmap, value, tol):
     if value is not None:
         val_params, vmeta = _load_value(value)
         fn = rcppo.value_fn_from(val_params, vmeta)
+        if tol is None:
+            tol = cfg["eval"]["tol"]
 
         def source(x, y):
             sol = rcppo.bisect_z_star(fn, x, y, vmeta["z_min"], vmeta["z_max"], tol)
@@ -286,7 +288,7 @@ def fit_zmap(config_path, value_path, out_path, samples, tol, seed):
 @click.option("--zmap", type=click.Path(exists=True), default=None)
 @click.option("--value", type=click.Path(exists=True), default=None,
               help="value checkpoint; budget found by bisection")
-@click.option("--tol", type=float, default=1e-2, show_default=True)
+@click.option("--tol", type=float, default=None, help="bisection tolerance [default: eval.tol]")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--force", is_flag=True)
 def deploy(config_path, policy_path, state, z, zmap, value, tol, out_path, force):
@@ -319,7 +321,7 @@ def deploy(config_path, policy_path, state, z, zmap, value, tol, out_path, force
 @click.option("--z", type=float, default=None)
 @click.option("--zmap", type=click.Path(exists=True), default=None)
 @click.option("--value", type=click.Path(exists=True), default=None)
-@click.option("--tol", type=float, default=1e-2, show_default=True)
+@click.option("--tol", type=float, default=None, help="bisection tolerance [default: eval.tol]")
 @click.option("--episodes", type=int, default=None, help="override eval.n_episodes")
 @click.option("--seed", type=int, default=None, help="override eval.seed")
 @click.option("--out", "out_path", type=click.Path(), default=None,

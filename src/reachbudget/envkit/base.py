@@ -92,6 +92,14 @@ class ReachAvoidProblem:
         """Upper bound on the one-step cost, used for budget ranges."""
         raise NotImplementedError
 
+    def reseed(self, seed: int) -> None:
+        """Restart the problem's own noise stream from seed.
+
+        Deterministic problems have none, so this does nothing; wrappers
+        that draw noise inside step_and_cost override it. Seeded sweeps
+        such as rcppo.evaluate_policy call it with their seed.
+        """
+
     # -- sets and margins -------------------------------------------------
 
     def goal_margin(self, x: np.ndarray) -> np.ndarray:

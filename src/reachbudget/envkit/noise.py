@@ -31,7 +31,7 @@ class ControlNoiseWrapper(ReachAvoidProblem):
     def __init__(self, problem: ReachAvoidProblem, cfg: NoiseWrapperConfig) -> None:
         self.base = problem
         self.cfg = cfg
-        self._rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        self.reseed(cfg.seed)
         self.name = f"{problem.name}+noise{cfg.noise_half_width:g}"
         self.state_dim = problem.state_dim
         self.action_dim = problem.action_dim
@@ -44,7 +44,10 @@ class ControlNoiseWrapper(ReachAvoidProblem):
         self.obs_scale = problem.obs_scale
 
     def reseed(self, seed: int) -> None:
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        """Restart the noise stream from seed mixed with cfg.seed, so
+        wrappers with different cfg.seed stay independent under one
+        evaluation seed."""
+        self._rng = np.random.Generator(np.random.PCG64([self.cfg.seed, seed]))
 
     def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ub, single = _as_batch(u, self.action_dim)

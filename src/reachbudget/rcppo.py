@@ -27,7 +27,7 @@ from .augment import (
     estimate_big_c,
     shifted_indicator,
 )
-from .envkit.base import ReachAvoidProblem
+from .envkit.base import ReachAvoidProblem, _as_batch
 from .reachval import _gae_arrays, discount_sign_bound
 
 
@@ -220,9 +220,9 @@ def collect_rollouts(
         idx = np.flatnonzero(alive)
         obs = build_obs(x[idx], y[idx], z[idx], scale, cfg.z_min, z_max)
         if deterministic:
-            act = approx.policy_mode(policy, obs)
-            raw = act
-            logp = approx.policy_log_prob(policy, obs, raw)
+            mean = approx.mlp_forward(policy.trunk, obs)
+            act = raw = np.clip(mean, policy.action_low, policy.action_high)
+            logp = approx.log_prob_at_mean(policy, mean, raw)
         else:
             act, raw, logp = approx.policy_sample(policy, obs, rng)
         vals = approx.mlp_forward(value_params, obs)[:, 0] * big_c
@@ -618,15 +618,24 @@ def bisect_z_star(
 
     Raises:
         Infeasible: value at z_max is still positive.
+        ValueError: the value is NaN at a queried budget; NaN has no
+            sign, so no budget can be read from it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if z_max < z_min:
         raise ValueError("need z_min <= z_max")
+
+    def value_at(z):
+        v = value_fn(x, y, z)
+        if math.isnan(v):
+            raise ValueError(f"value is NaN at z={float(z):.6g}")
+        return v
+
     violations = 0
     if scan_points > 1:
         zs = np.linspace(z_min, z_max, scan_points)
-        signs = np.array([value_fn(x, y, z) <= 0.0 for z in zs])
+        signs = np.array([value_at(z) <= 0.0 for z in zs])
         violations = int(np.sum(signs[:-1] & ~signs[1:]))
         if violations:
             warnings.warn(
@@ -634,10 +643,10 @@ def bisect_z_star(
                 NonMonotoneWarning,
                 stacklevel=2,
             )
-    v_hi = value_fn(x, y, z_max)
+    v_hi = value_at(z_max)
     if v_hi > 0.0:
         raise Infeasible(f"value {v_hi:.4g} still positive at z_max={z_max:.4g}")
-    v_lo = value_fn(x, y, z_min)
+    v_lo = value_at(z_min)
     if v_lo <= 0.0:
         return ZStarSolution(
             z_star=float(z_min), v_at_zstar=float(v_lo),
@@ -649,13 +658,13 @@ def bisect_z_star(
     max_iter = int(np.ceil(np.log2(max(1.0, (hi - lo) / tol)))) + 5
     while hi - lo > tol and iterations < max_iter:
         mid = 0.5 * (lo + hi)
-        if value_fn(x, y, mid) <= 0.0:
+        if value_at(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
         iterations += 1
     return ZStarSolution(
-        z_star=hi, v_at_zstar=float(value_fn(x, y, hi)),
+        z_star=hi, v_at_zstar=float(value_at(hi)),
         bracket=(lo, hi), iterations=iterations,
         monotone_violations=violations,
     )
@@ -777,6 +786,20 @@ class Trajectory:
         return len(self.costs)
 
 
+def _start_budget(z_source, x: np.ndarray, y: float, meta: dict) -> tuple[float, bool]:
+    """(z0, infeasible_start) for one start; see deploy_policy."""
+    if z_source is None:
+        return math.inf, False
+    if isinstance(z_source, (int, float)):
+        return float(z_source), False
+    if isinstance(z_source, ZRegressor):
+        return float(regressor_predict(z_source, x, y)[0]), False
+    try:
+        return float(z_source(x, y)), False
+    except Infeasible:
+        return float(meta["z_max"]), True
+
+
 def deploy_policy(
     problem: ReachAvoidProblem,
     policy: approx.GaussianPolicyParams,
@@ -784,84 +807,98 @@ def deploy_policy(
     z_source,
     x0: np.ndarray,
     goal_params: AugmentedGoalParams | None = None,
-) -> Trajectory:
-    """Roll the mode policy from x0 with the budget as a dial.
+) -> Trajectory | list[Trajectory]:
+    """Roll the mode policy from each start with the budget as a dial.
+
+    x0 is one start (d,), giving one Trajectory, or a batch (n, d),
+    giving a list of n. The starts run as lanes stepped together: each
+    time step builds one observation batch, runs one policy forward and
+    one environment step over the rows of the unfinished lanes, so a
+    single start is just a batch of one lane.
 
     z_source is a number, a callable (x0, y0) -> z0 (typically wrapping
     bisect_z_star), a ZRegressor, or None (budget-free policies; the
-    budget column stays infinite). An Infeasible callable result is
-    reported, not raised: the rollout proceeds at z_max for diagnosis.
+    budget column stays infinite). It is resolved once per start, in
+    start order. An Infeasible callable result is reported on that lane,
+    not raised: the lane proceeds at z_max for diagnosis.
 
-    The episode ends on raw goal entry or at horizon_max; safety
+    Each lane ends on raw goal entry or at horizon_max; safety
     violations latch y but never terminate.
     """
     scale = np.asarray(meta["obs_scale"], dtype=np.float64)
-    big_c = meta.get("big_c", 1.0)
     if goal_params is None:
-        goal_params = AugmentedGoalParams(big_c=big_c)
+        goal_params = AugmentedGoalParams(big_c=meta.get("big_c", 1.0))
     is_budget = meta.get("algorithm", "rcppo") == "rcppo"
 
-    x = np.asarray(x0, dtype=np.float64).reshape(problem.state_dim)
-    y = float(shifted_indicator(problem.in_avoid(x)))
-    infeasible_start = False
-    if z_source is None:
-        z0 = math.inf
-    elif isinstance(z_source, (int, float)):
-        z0 = float(z_source)
-    elif isinstance(z_source, ZRegressor):
-        z0 = float(regressor_predict(z_source, x, y)[0])
-    else:
-        try:
-            z0 = float(z_source(x, y))
-        except Infeasible:
-            z0 = float(meta["z_max"])
-            infeasible_start = True
+    starts, single = _as_batch(x0, problem.state_dim)
+    n = starts.shape[0]
+    y0 = np.asarray(shifted_indicator(problem.in_avoid(starts)), dtype=np.float64)
+    budgets = [_start_budget(z_source, starts[i], float(y0[i]), meta) for i in range(n)]
+    z0 = np.array([b for b, _ in budgets], dtype=np.float64)
 
-    states, actions, costs = [x.copy()], [], []
-    ys, zs = [y], [z0]
-    z = z0
-    t = 0
-    reached = bool(problem.in_goal(x))
-    while not reached and t < problem.horizon_max:
+    x, y, z = starts.copy(), y0.copy(), z0.copy()
+    reached = np.asarray(problem.in_goal(x), dtype=bool)
+    alive = ~reached
+    # one entry per time step: (lanes, actions, costs, x', y', z') of the
+    # lanes that stepped
+    steps = []
+    for _ in range(problem.horizon_max):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
         if is_budget:
-            obs = build_obs(x, y, z, scale, meta["z_min"], meta["z_max"])
+            obs = build_obs(x[idx], y[idx], z[idx], scale, meta["z_min"], meta["z_max"])
         else:
-            obs = np.atleast_2d(x / scale)
-        act = approx.policy_mode(policy, obs)[0]
-        x_next, c = problem.step_and_cost(x, act)
+            obs = x[idx] / scale
+        act = approx.policy_mode(policy, obs)
+        x_next, c = problem.step_and_cost(x[idx], act)
         x_next = np.asarray(x_next, dtype=np.float64)
-        y = float(max(shifted_indicator(problem.in_avoid(x_next)), y))
-        z = z - float(c)
-        actions.append(act)
-        costs.append(float(c))
-        states.append(x_next.copy())
-        ys.append(y)
-        zs.append(z)
-        x = x_next
-        t += 1
-        reached = bool(problem.in_goal(x))
+        c = np.asarray(c, dtype=np.float64)
+        y_next = np.maximum(shifted_indicator(problem.in_avoid(x_next)), y[idx])
+        z_next = z[idx] - c
+        x[idx], y[idx], z[idx] = x_next, y_next, z_next
+        steps.append((idx, act, c, x_next, y_next, z_next))
+        arrived = np.asarray(problem.in_goal(x_next), dtype=bool)
+        reached[idx] = arrived
+        alive[idx] = ~arrived
 
-    states_arr = np.asarray(states)
-    ys_arr = np.asarray(ys)
-    zs_arr = np.asarray(zs)
-    g_arr = np.asarray(problem.goal_margin(states_arr), dtype=np.float64)
-    h_arr = np.asarray(problem.avoid_margin(states_arr), dtype=np.float64)
+    # Gather each lane's rows into one block, start row first; the start
+    # row carries no action or cost.
+    def gathered(first, k):
+        return np.concatenate([first] + [step[k] for step in steps])
+
+    lanes = gathered(np.arange(n), 0)
+    order = np.argsort(lanes, kind="stable")
+    states = gathered(starts, 3)[order]
+    actions = gathered(np.full((n, problem.action_dim), np.nan), 1)[order]
+    costs = gathered(np.full(n, np.nan), 2)[order]
+    ys = gathered(y0, 4)[order]
+    zs = gathered(z0, 5)[order]
+    g = np.asarray(problem.goal_margin(states), dtype=np.float64)
+    h = np.asarray(problem.avoid_margin(states), dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        ghat_arr = np.maximum(np.maximum(g_arr, big_c * ys_arr), -zs_arr)
-    return Trajectory(
-        states=states_arr,
-        actions=np.asarray(actions).reshape(len(actions), problem.action_dim),
-        costs=np.asarray(costs),
-        y=ys_arr,
-        z=zs_arr,
-        g=g_arr,
-        h=h_arr,
-        ghat=ghat_arr,
-        z0=z0,
-        reached=reached,
-        violated=bool(np.any(ys_arr > 0)),
-        infeasible_start=infeasible_start,
-    )
+        ghat = np.maximum(np.maximum(g, goal_params.big_c * ys), -zs)
+
+    sizes = np.bincount(lanes, minlength=n)
+    ends = np.cumsum(sizes)
+    trajs = [
+        Trajectory(
+            states=states[lo:hi],
+            actions=actions[lo + 1 : hi],
+            costs=costs[lo + 1 : hi],
+            y=ys[lo:hi],
+            z=zs[lo:hi],
+            g=g[lo:hi],
+            h=h[lo:hi],
+            ghat=ghat[lo:hi],
+            z0=float(z0[i]),
+            reached=bool(reached[i]),
+            violated=bool(np.any(ys[lo:hi] > 0)),
+            infeasible_start=budgets[i][1],
+        )
+        for i, (lo, hi) in enumerate(zip(ends - sizes, ends))
+    ]
+    return trajs[0] if single else trajs
 
 
 def evaluate_policy(
@@ -874,24 +911,31 @@ def evaluate_policy(
 ) -> dict:
     """Seeded deployment sweep; aggregates match the episode records.
 
+    Starts come from one problem.sample_initial(rng) call per episode,
+    in order, and run as lanes of a single deploy_policy call. The seed
+    also restarts the problem's own noise stream (see
+    ReachAvoidProblem.reseed), so equal seeds give equal reports.
+
     An episode counts as reaching only if it enters the goal with the
     safety flag never latched. Costs aggregate over reaching episodes.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    records = []
-    for _ in range(n_episodes):
-        x0 = problem.sample_initial(rng)
-        traj = deploy_policy(problem, policy, meta, z_source, x0)
-        records.append(
-            {
-                "z0": traj.z0,
-                "reached": bool(traj.reached and not traj.violated),
-                "violated": traj.violated,
-                "cumulative_cost": traj.cum_cost,
-                "length": traj.length,
-                "infeasible_start": traj.infeasible_start,
-            }
-        )
+    problem.reseed(seed)
+    starts = np.array([problem.sample_initial(rng) for _ in range(n_episodes)])
+    trajs = deploy_policy(
+        problem, policy, meta, z_source, starts.reshape(n_episodes, problem.state_dim)
+    )
+    records = [
+        {
+            "z0": traj.z0,
+            "reached": bool(traj.reached and not traj.violated),
+            "violated": traj.violated,
+            "cumulative_cost": traj.cum_cost,
+            "length": traj.length,
+            "infeasible_start": traj.infeasible_start,
+        }
+        for traj in trajs
+    ]
     reached = [r for r in records if r["reached"]]
     report = {
         "n_episodes": n_episodes,

@@ -299,6 +299,30 @@ def test_deploy_with_value_checkpoint_bisection(tiny_cfg, rcppo_run, halfway_val
     assert report["z0"] == pytest.approx(HALFWAY_Z, abs=1e-2)
 
 
+@pytest.mark.parametrize("command", ["deploy", "evaluate"])
+def test_config_eval_tol_reaches_the_bisection(
+    command, tiny_cfg, rcppo_run, halfway_value, tmp_path
+):
+    def bisected_z0(cfg_path):
+        out = tmp_path / "out"
+        args = [
+            command, "--config", cfg_path, "--policy", f"{rcppo_run}/policy.ckpt",
+            "--value", halfway_value, "--out", str(out), "--force",
+        ]
+        if command == "deploy":
+            return _last_json(_invoke(args + ["--state", "2.0,0.0"]))["z0"]
+        _invoke(args + ["--episodes", "1"])
+        with open(out) as fh:
+            return json.load(fh)["episodes"][0]["z0"]
+
+    # default eval.tol 1e-2 lands on the zero crossing; a tolerance wider
+    # than the whole range [-1, 100] stops before the first midpoint
+    assert bisected_z0(tiny_cfg) == pytest.approx(HALFWAY_Z, abs=1e-2)
+    coarse = tmp_path / "coarse.yaml"
+    coarse.write_text(yaml.safe_dump(dict(TINY, eval={"n_episodes": 2, "tol": 200.0})))
+    assert bisected_z0(str(coarse)) == 100.0
+
+
 def test_evaluate_reports_summary_and_full_report(tiny_cfg, rcppo_run, tmp_path):
     out = tmp_path / "report.json"
     result = _invoke([

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from reachbudget import approx, rcppo
 from reachbudget.augment import AugmentedGoalParams
+from reachbudget.envkit import ControlNoiseWrapper, NoiseWrapperConfig
 
 
 def _rng(seed=0):
@@ -363,6 +366,21 @@ def test_bisection_counts_and_warns_on_sign_regressions():
     assert sol.z_star == pytest.approx(np.pi, abs=1e-3)
 
 
+def test_bisection_raises_on_a_nan_value_at_z_max():
+    with pytest.raises(ValueError, match="NaN"):
+        rcppo.bisect_z_star(lambda x, y, z: math.nan, None, 1.0, -1.0, 600.0)
+
+
+def test_bisection_raises_on_a_nan_value_at_a_midpoint():
+    # finite at both ends (infeasible at z_min, feasible at z_max), NaN
+    # only at the first midpoint 299.5
+    def value(x, y, z):
+        return math.nan if z == 299.5 else 100.0 - z
+
+    with pytest.raises(ValueError, match="NaN"):
+        rcppo.bisect_z_star(value, None, 1.0, -1.0, 600.0)
+
+
 def test_bisection_validates_tolerance_and_bracket():
     with pytest.raises(ValueError):
         rcppo.bisect_z_star(lambda x, y, z: -z, None, 1.0, 0.0, 10.0, tol=0.0)
@@ -504,3 +522,153 @@ def test_evaluation_is_reproducible_by_seed(pendulum):
     assert [e["cumulative_cost"] for e in r1["episodes"]] == [
         e["cumulative_cost"] for e in r2["episodes"]
     ]
+
+
+def test_evaluation_under_control_noise_is_reproducible_by_seed(pendulum):
+    policy = _small_policy(4, _rng(37))
+    noisy = ControlNoiseWrapper(pendulum, NoiseWrapperConfig(0.1, seed=97))
+    r1 = rcppo.evaluate_policy(noisy, policy, _meta(), 60.0, 8, seed=11)
+    r2 = rcppo.evaluate_policy(noisy, policy, _meta(), 60.0, 8, seed=11)
+    assert r1 == r2
+    # zero-width noise reproduces the base problem, so the starts are the
+    # ones evaluate_policy draws without the wrapper
+    silent = ControlNoiseWrapper(pendulum, NoiseWrapperConfig(0.0, seed=97))
+    assert rcppo.evaluate_policy(silent, policy, _meta(), 60.0, 8, seed=11) == (
+        rcppo.evaluate_policy(pendulum, policy, _meta(), 60.0, 8, seed=11)
+    )
+
+
+# -- lane engine: every evaluation lane matches its one-lane deployment -----------------
+
+
+def _assert_lanes_match_one_lane_deployments(problem, policy, meta, z_source, n, seed):
+    rep = rcppo.evaluate_policy(problem, policy, meta, z_source, n, seed=seed)
+    assert len(rep["episodes"]) == rep["n_episodes"] == n
+    rng = _rng(seed)
+    for rec in rep["episodes"]:
+        traj = rcppo.deploy_policy(problem, policy, meta, z_source, problem.sample_initial(rng))
+        assert rec["length"] == traj.length
+        assert rec["reached"] == (traj.reached and not traj.violated)
+        assert rec["violated"] == traj.violated
+        assert rec["z0"] == traj.z0
+        assert rec["infeasible_start"] == traj.infeasible_start
+        assert rec["cumulative_cost"] == pytest.approx(traj.cum_cost, rel=0, abs=1e-9)
+    return rep
+
+
+def test_lanes_match_one_lane_deployments_at_a_fixed_budget(pendulum):
+    rep = _assert_lanes_match_one_lane_deployments(
+        pendulum, _small_policy(4, _rng(40)), _meta(), 60.0, 24, seed=3
+    )
+    assert len({e["length"] for e in rep["episodes"]}) > 1  # lanes end on their own
+
+
+def test_lanes_match_one_lane_deployments_with_bisected_budgets(pendulum):
+    def value(x, y, z):
+        return 30.0 + 20.0 * abs(float(x[0])) - z
+
+    def z_source(x, y):
+        return rcppo.bisect_z_star(value, x, y, -1.0, 100.0, tol=1e-2).z_star
+
+    rep = _assert_lanes_match_one_lane_deployments(
+        pendulum, _small_policy(4, _rng(41)), _meta(), z_source, 16, seed=4
+    )
+    assert len({e["z0"] for e in rep["episodes"]}) == 16
+
+
+def test_budget_free_lanes_match_one_lane_deployments(pendulum):
+    meta = _meta(algorithm="ppo_lagrangian")
+    policy = _small_policy(2, _rng(42))
+    _assert_lanes_match_one_lane_deployments(pendulum, policy, meta, None, 16, seed=5)
+    for traj in rcppo.deploy_policy(
+        pendulum, policy, meta, None, pendulum.sample_initial(_rng(5), 4)
+    ):
+        assert np.all(np.isinf(traj.z))
+
+
+def test_windfield_lanes_latch_violations_like_one_lane_deployments(windfield):
+    meta = {
+        "algorithm": "rcppo",
+        "obs_scale": list(windfield.obs_scale),
+        "z_min": -1.0,
+        "z_max": 500.0,
+        "big_c": 987.0,
+    }
+    policy = _small_policy(
+        windfield.state_dim + 2, _rng(34),
+        low=windfield.action_low, high=windfield.action_high,
+    )
+    rep = _assert_lanes_match_one_lane_deployments(windfield, policy, meta, 100.0, 40, seed=6)
+    if not any(e["violated"] for e in rep["episodes"]):
+        pytest.skip("random policy never clipped a building")
+    rng = _rng(6)
+    starts = np.stack([windfield.sample_initial(rng) for _ in range(40)])
+    for traj in rcppo.deploy_policy(windfield, policy, meta, 100.0, starts):
+        if traj.violated:
+            first = int(np.argmax(traj.y > 0))
+            assert np.all(traj.y[first:] == 1.0)
+        else:
+            assert np.all(traj.y == -1.0)
+
+
+def test_an_infeasible_start_falls_back_to_z_max_on_its_own_lane(pendulum):
+    def z_source(x, y):
+        if x[0] > 0.0:
+            raise rcppo.Infeasible("no budget works")
+        return 25.0
+
+    rep = _assert_lanes_match_one_lane_deployments(
+        pendulum, _small_policy(4, _rng(43)), _meta(z_max=77.0), z_source, 16, seed=7
+    )
+    flags = [e["infeasible_start"] for e in rep["episodes"]]
+    assert any(flags) and not all(flags)
+    for e in rep["episodes"]:
+        assert e["z0"] == (77.0 if e["infeasible_start"] else 25.0)
+
+
+def test_a_lane_born_in_the_goal_has_length_zero(pendulum):
+    class SomeGoalStarts:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+        def sample_initial(self, rng, n=None):
+            x = self._inner.sample_initial(rng)
+            # tiny negative angle swinging up through zero: already in G
+            return np.array([-0.01, 1.0]) if x[0] < 0.0 else x
+
+    prob = SomeGoalStarts(pendulum)
+    rep = _assert_lanes_match_one_lane_deployments(
+        prob, _small_policy(4, _rng(44)), _meta(), 60.0, 12, seed=8
+    )
+    born = [e for e in rep["episodes"] if e["length"] == 0]
+    assert born and len(born) < 12
+    assert all(e["reached"] and e["cumulative_cost"] == 0.0 for e in born)
+
+
+def test_zero_episode_evaluation_runs_no_lanes(pendulum):
+    policy = _small_policy(4, _rng(45))
+    rep = rcppo.evaluate_policy(pendulum, policy, _meta(), 60.0, 0, seed=9)
+    assert rep == {
+        "n_episodes": 0,
+        "reach_rate": None,
+        "violation_rate": None,
+        "mean_cost_reached": None,
+        "median_cost_reached": None,
+        "episodes": [],
+    }
+    assert rcppo.deploy_policy(pendulum, policy, _meta(), 60.0, np.empty((0, 2))) == []
+
+
+def test_deployment_takes_one_start_or_a_batch_of_starts(pendulum):
+    policy = _small_policy(4, _rng(46))
+    starts = pendulum.sample_initial(_rng(10), 3)
+    batch = rcppo.deploy_policy(pendulum, policy, _meta(), 60.0, starts)
+    assert isinstance(batch, list) and len(batch) == 3
+    one = rcppo.deploy_policy(pendulum, policy, _meta(), 60.0, starts[1])
+    assert isinstance(one, rcppo.Trajectory)
+    assert np.array_equal(one.states[0], starts[1])
+    with pytest.raises(ValueError):
+        rcppo.deploy_policy(pendulum, policy, _meta(), 60.0, np.zeros(3))
