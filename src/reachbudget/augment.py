@@ -56,6 +56,11 @@ def shifted_indicator(member) -> np.ndarray:
     return np.where(np.asarray(member), 1.0, -1.0)
 
 
+def augmented_margin(g, y, z, big_c: float) -> np.ndarray:
+    """ghat = max(g, C * y, -z) from the raw goal margin, flag and budget."""
+    return np.maximum(np.maximum(g, big_c * y), -z)
+
+
 def estimate_big_c(
     problem: ReachAvoidProblem,
     rng: np.random.Generator,
@@ -118,7 +123,7 @@ def augmented_goal(
     problem: ReachAvoidProblem, s: AugmentedState, params: AugmentedGoalParams
 ) -> np.ndarray:
     g = np.asarray(problem.goal_margin(s.x), dtype=np.float64)
-    return np.maximum(np.maximum(g, params.big_c * s.y), -s.z)
+    return augmented_margin(g, s.y, s.z, params.big_c)
 
 
 def in_augmented_goal(
@@ -164,6 +169,5 @@ def budget_equivalence_sides(
 
     lhs = in_g & ~np.maximum.accumulate(in_f) & (z0 >= cum)
     g = np.asarray(problem.goal_margin(states), dtype=np.float64)
-    ghat = np.maximum(np.maximum(g, params.big_c * y), -z)
-    rhs = ghat <= 0.0
+    rhs = augmented_margin(g, y, z, params.big_c) <= 0.0
     return lhs, rhs

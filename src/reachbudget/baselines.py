@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import approx
+from .augment import shifted_indicator
 from .envkit.base import ReachAvoidProblem
 from .envkit.tabular import TabularMDP
-from .rcppo import TrainResult, ppo_policy_loss, value_loss
+from .rcppo import TrainResult, _log_row, _ppo_update, _run_lanes
 
 
 @dataclass
@@ -158,122 +159,63 @@ def train_ppo_baseline(problem: ReachAvoidProblem, cfg: BaselineConfig) -> Train
         },
     }
 
+    def act(x, y, z):
+        obs = x / scale
+        u, raw, logp = approx.policy_sample(policy, obs, rng)
+        vals = approx.mlp_forward(value_params, obs)[:, 0] * val_scale
+        return u, (obs, u, raw, logp, vals)
+
     log_rows: list[dict] = []
     env_steps = 0
     iteration = 0
-    t_cap = problem.horizon_max
-    n = cfg.n_envs
     while env_steps < cfg.total_steps:
         frac = env_steps / cfg.total_steps
         pol_adam.base_lr = cfg.lr * (1.0 - frac)
         val_adam.base_lr = cfg.lr * (1.0 - frac)
         ent_now = cfg.entropy_coef * (1.0 - frac)
 
-        x = np.atleast_2d(problem.sample_initial(rng, n))
-        alive = ~np.asarray(problem.in_goal(x))
-        steps_taken = np.zeros(n, dtype=int)
-        reached = ~alive
-        lane_rows, obs_rows, act_rows, logp_rows = [], [], [], []
-        rew_rows, val_rows, cost_rows = [], [], []
-        while alive.any():
-            idx = np.flatnonzero(alive)
-            obs = np.atleast_2d(x[idx]) / scale
-            act, raw, logp = approx.policy_sample(policy, obs, rng)
-            vals = approx.mlp_forward(value_params, obs)[:, 0] * val_scale
-            x_next, c = problem.step_and_cost(x[idx], act)
-            rew = lagrangian_reward(problem, x[idx], act, x_next, c, rcfg)
-
-            lane_rows.append(idx)
-            obs_rows.append(obs)
-            act_rows.append(raw)
-            logp_rows.append(logp)
-            rew_rows.append(np.asarray(rew, dtype=np.float64))
-            val_rows.append(vals)
-            cost_rows.append(np.asarray(c, dtype=np.float64))
-
-            steps_taken[idx] += 1
-            done_goal = np.asarray(problem.in_goal(x_next))
-            done_trunc = (~done_goal) & (steps_taken[idx] >= t_cap)
-            x[idx] = x_next
-            reached[idx[done_goal]] = True
-            alive[idx] = ~(done_goal | done_trunc)
-
-        lane_cat = np.concatenate(lane_rows)
-        obs_cat = np.concatenate(obs_rows)
-        act_cat = np.concatenate(act_rows)
-        logp_cat = np.concatenate(logp_rows)
-        rew_cat = np.concatenate(rew_rows)
-        val_cat = np.concatenate(val_rows)
-        cost_cat = np.concatenate(cost_rows)
-
-        adv_parts, ret_parts, sel_parts = [], [], []
-        ep_costs, ep_reached = [], []
-        for lane in range(n):
-            sel = lane_cat == lane
-            if not sel.any():
-                ep_reached.append(bool(reached[lane]))
-                ep_costs.append(0.0)
+        x0 = np.atleast_2d(problem.sample_initial(rng, cfg.n_envs))
+        run = _run_lanes(
+            problem, x0, shifted_indicator(problem.in_avoid(x0)),
+            np.full(cfg.n_envs, np.inf), act, lambda x, y, z: problem.in_goal(x),
+        )
+        env_steps += len(run.costs)
+        iteration += 1
+        if not run.records:
+            continue
+        obs, u, raw, logp, vals = run.records
+        # each lane's transitions: every state row but its last, to every
+        # state row but its first
+        rew = lagrangian_reward(
+            problem, np.delete(run.x, run.last, axis=0), u,
+            np.delete(run.x, run.last - run.sizes, axis=0), run.costs, rcfg,
+        )
+        adv_parts, ret_parts, ep_costs = [], [], []
+        for i, ((steps, _), last) in enumerate(zip(run.spans(), run.last)):
+            ep_costs.append(float(run.costs[steps].sum()))
+            if steps.start == steps.stop:
                 continue
-            if reached[lane]:
+            if run.reached[i]:
                 tail = 0.0
             else:
-                final_obs = np.atleast_2d(x[lane]) / scale
+                final_obs = run.x[last : last + 1] / scale
                 tail = float(approx.mlp_forward(value_params, final_obs)[0, 0] * val_scale)
-            adv, ret = _reward_gae(rew_cat[sel], val_cat[sel], tail, cfg.gamma, cfg.lam)
+            adv, ret = _reward_gae(rew[steps], vals[steps], tail, cfg.gamma, cfg.lam)
             adv_parts.append(adv)
             ret_parts.append(ret)
-            sel_parts.append(sel)
-            ep_reached.append(bool(reached[lane]))
-            ep_costs.append(float(cost_cat[sel].sum()))
-        env_steps += len(lane_cat)
-        iteration += 1
-        if not adv_parts:
-            continue
-        order_map = np.concatenate([np.flatnonzero(s) for s in sel_parts])
-        obs_all = obs_cat[order_map]
-        act_all = act_cat[order_map]
-        logp_all = logp_cat[order_map]
         adv = np.concatenate(adv_parts)
-        ret_all = np.concatenate(ret_parts)
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-        n_samples = obs_all.shape[0]
-        last_p, last_v = math.nan, math.nan
-        stats_acc: dict[str, float] = {}
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n_samples)
-            for lo in range(0, n_samples, cfg.minibatch_size):
-                mb = order[lo : lo + cfg.minibatch_size]
-                p_loss, p_grads, stats = ppo_policy_loss(
-                    policy, obs_all[mb], act_all[mb], logp_all[mb], adv[mb],
-                    cfg.clip_eps, ent_now,
-                )
-                approx.adam_step(pol_adam, policy.trainable(), p_grads)
-                v_loss, v_grads = value_loss(
-                    value_params, obs_all[mb], ret_all[mb], val_scale
-                )
-                approx.adam_step(val_adam, value_params.trainable(), v_grads)
-                if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
-                    raise RuntimeError(
-                        f"non-finite loss at iteration {iteration} "
-                        f"(policy {p_loss}, value {v_loss})"
-                    )
-                last_p, last_v = p_loss, v_loss
-                stats_acc = stats
-
-        reached_costs = [c for c, r in zip(ep_costs, ep_reached) if r]
-        log_rows.append(
-            {
-                "iteration": iteration,
-                "env_steps": env_steps,
-                "reach_rate": float(np.mean(ep_reached)),
-                "mean_cost_reached": float(np.mean(reached_costs)) if reached_costs else math.nan,
-                "policy_loss": last_p,
-                "value_loss": last_v,
-                "entropy": stats_acc.get("entropy", math.nan),
-                "kl_estimate": stats_acc.get("kl_estimate", math.nan),
-            }
+        losses = _ppo_update(
+            cfg, rng, iteration, obs, np.concatenate(ret_parts),
+            value_params, val_adam, val_scale,
+            policy=(policy, pol_adam, raw, logp, adv, ent_now),
         )
+        reached_costs = [c for c, r in zip(ep_costs, run.reached) if r]
+        log_rows.append(_log_row(
+            iteration, env_steps, float(np.mean(run.reached)),
+            float(np.mean(reached_costs)) if reached_costs else math.nan, losses,
+        ))
     return TrainResult(policy=policy, value=value_params, log_rows=log_rows, meta=meta)
 
 
@@ -286,27 +228,10 @@ def _grid_cell(args: tuple) -> dict:
 
     row = {"r_goal": r_goal, "p_goal": p_goal, "beta": beta, "seed": seed}
     try:
-        reward = LagrangianRewardConfig(
-            beta=beta, r_goal=r_goal, p_goal=p_goal,
-            c_fail=base_cfg.reward.c_fail,
-            shaping_enabled=base_cfg.reward.shaping_enabled,
-            shaping_k=base_cfg.reward.shaping_k,
-            gamma=base_cfg.gamma,
+        reward = replace(
+            base_cfg.reward, beta=beta, r_goal=r_goal, p_goal=p_goal, gamma=base_cfg.gamma
         )
-        cfg = BaselineConfig(
-            reward=reward,
-            total_steps=base_cfg.total_steps,
-            n_envs=base_cfg.n_envs,
-            epochs=base_cfg.epochs,
-            minibatch_size=base_cfg.minibatch_size,
-            lr=base_cfg.lr,
-            clip_eps=base_cfg.clip_eps,
-            entropy_coef=base_cfg.entropy_coef,
-            gamma=base_cfg.gamma,
-            lam=base_cfg.lam,
-            hidden=base_cfg.hidden,
-            seed=seed,
-        )
+        cfg = replace(base_cfg, reward=reward, seed=seed)
         result = train_ppo_baseline(problem, cfg)
         report = evaluate_policy(problem, result.policy, result.meta, None, n_eval, eval_seed)
         row["reach_rate"] = report["reach_rate"]

@@ -10,12 +10,13 @@ configs are byte-identical as canonical JSON.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 
 import yaml
 
-from .baselines import BaselineConfig, LagrangianRewardConfig
+from .baselines import BaselineConfig
 from .envkit import (
     grid_reachavoid_make,
     pendulum_make,
@@ -24,6 +25,21 @@ from .envkit import (
 )
 from .envkit.noise import NoiseWrapperConfig
 from .rcppo import Phase1Config, Phase2Config
+
+
+def _defaults_of(cls) -> dict:
+    """A config section holding the dataclass defaults of cls: tuples
+    become lists and nested dataclasses nested sections."""
+    section = {}
+    for f in dataclasses.fields(cls):
+        value = f.default if f.default is not dataclasses.MISSING else f.default_factory()
+        if dataclasses.is_dataclass(value):
+            value = _defaults_of(type(value))
+        elif isinstance(value, tuple):
+            value = list(value)
+        section[f.name] = value
+    return section
+
 
 DEFAULTS: dict = {
     "env": {
@@ -36,58 +52,9 @@ DEFAULTS: dict = {
         "noise_half_width": 0.0,
         "noise_seed": 0,
     },
-    "train": {
-        "total_steps": 200_000,
-        "n_envs": 16,
-        "epochs": 10,
-        "minibatch_size": 256,
-        "lr": 3e-4,
-        "clip_eps": 0.2,
-        "entropy_coef": 1e-2,
-        "gamma": 0.99,
-        "lam": 0.95,
-        "gae_mode": "renormalized",
-        "z_min": -1.0,
-        "z_max": None,
-        "big_c": None,
-        "hidden": [256, 256],
-        "init_log_std": 0.0,
-        "seed": 0,
-    },
-    "phase2": {
-        "total_steps": 200_000,
-        "n_envs": 16,
-        "epochs": 10,
-        "minibatch_size": 256,
-        "lr": 3e-4,
-        "gamma": None,
-        "gamma_eps_gap": 1.0,
-        "lam": 0.95,
-        "gae_mode": "renormalized",
-        "seed": 1,
-    },
-    "baseline": {
-        "total_steps": 200_000,
-        "n_envs": 16,
-        "epochs": 10,
-        "minibatch_size": 256,
-        "lr": 3e-4,
-        "clip_eps": 0.2,
-        "entropy_coef": 1e-2,
-        "gamma": 0.99,
-        "lam": 0.95,
-        "hidden": [256, 256],
-        "init_log_std": 0.0,
-        "seed": 0,
-        "reward": {
-            "beta": 1.0,
-            "c_fail": 20.0,
-            "r_goal": 20.0,
-            "p_goal": 0.0,
-            "shaping_enabled": False,
-            "shaping_k": 1.0,
-        },
-    },
+    "train": _defaults_of(Phase1Config),
+    "phase2": _defaults_of(Phase2Config),
+    "baseline": _defaults_of(BaselineConfig),
     "grid_search": {
         "r_goal": [20.0],
         "p_goal": [0.0],
@@ -101,6 +68,8 @@ DEFAULTS: dict = {
         "tol": 1e-2,
     },
 }
+# the reward's shaping discount is always baseline.gamma, not a key
+del DEFAULTS["baseline"]["reward"]["gamma"]
 
 # dotted paths where None is a legal value, with the type a non-None
 # value must have
@@ -241,67 +210,31 @@ def build_problem(cfg: dict):
     return problem
 
 
+def _build(cls, section: dict, seed: int | None = None):
+    """cls from a resolved config section: lists become tuples, nested
+    sections the field's own dataclass, and seed, when given, wins."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        value = section[f.name]
+        if isinstance(value, dict):
+            value = _build(type(f.default_factory()), value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[f.name] = value
+    if seed is not None:
+        kwargs["seed"] = seed
+    return cls(**kwargs)
+
+
 def phase1_from(cfg: dict, seed: int | None = None) -> Phase1Config:
-    t = cfg["train"]
-    return Phase1Config(
-        total_steps=t["total_steps"],
-        n_envs=t["n_envs"],
-        epochs=t["epochs"],
-        minibatch_size=t["minibatch_size"],
-        lr=t["lr"],
-        clip_eps=t["clip_eps"],
-        entropy_coef=t["entropy_coef"],
-        gamma=t["gamma"],
-        lam=t["lam"],
-        gae_mode=t["gae_mode"],
-        z_min=t["z_min"],
-        z_max=t["z_max"],
-        big_c=t["big_c"],
-        hidden=tuple(t["hidden"]),
-        init_log_std=t["init_log_std"],
-        seed=t["seed"] if seed is None else seed,
-    )
+    return _build(Phase1Config, cfg["train"], seed)
 
 
 def phase2_from(cfg: dict, seed: int | None = None) -> Phase2Config:
-    p = cfg["phase2"]
-    return Phase2Config(
-        total_steps=p["total_steps"],
-        n_envs=p["n_envs"],
-        epochs=p["epochs"],
-        minibatch_size=p["minibatch_size"],
-        lr=p["lr"],
-        gamma=p["gamma"],
-        gamma_eps_gap=p["gamma_eps_gap"],
-        lam=p["lam"],
-        gae_mode=p["gae_mode"],
-        seed=p["seed"] if seed is None else seed,
-    )
+    return _build(Phase2Config, cfg["phase2"], seed)
 
 
 def baseline_from(cfg: dict, seed: int | None = None) -> BaselineConfig:
     b = cfg["baseline"]
-    r = b["reward"]
-    return BaselineConfig(
-        reward=LagrangianRewardConfig(
-            beta=r["beta"],
-            c_fail=r["c_fail"],
-            r_goal=r["r_goal"],
-            p_goal=r["p_goal"],
-            shaping_enabled=r["shaping_enabled"],
-            shaping_k=r["shaping_k"],
-            gamma=b["gamma"],
-        ),
-        total_steps=b["total_steps"],
-        n_envs=b["n_envs"],
-        epochs=b["epochs"],
-        minibatch_size=b["minibatch_size"],
-        lr=b["lr"],
-        clip_eps=b["clip_eps"],
-        entropy_coef=b["entropy_coef"],
-        gamma=b["gamma"],
-        lam=b["lam"],
-        hidden=tuple(b["hidden"]),
-        init_log_std=b["init_log_std"],
-        seed=b["seed"] if seed is None else seed,
-    )
+    reward = {**b["reward"], "gamma": b["gamma"]}
+    return _build(BaselineConfig, {**b, "reward": reward}, seed)

@@ -24,6 +24,7 @@ import numpy as np
 from . import approx
 from .augment import (
     AugmentedGoalParams,
+    augmented_margin,
     estimate_big_c,
     shifted_indicator,
 )
@@ -175,6 +176,88 @@ def value_fn_from(
     return fn
 
 
+# -- the lane engine -------------------------------------------------------------
+
+
+@dataclass
+class _Lanes:
+    """Lanes stepped together by _run_lanes, lane 0 first.
+
+    Each lane's rows are contiguous and in time order. The state columns
+    x, y and z hold every visited state, start row first, so a lane that
+    took T steps has T + 1 state rows and T step rows.
+    """
+
+    sizes: np.ndarray  # (n,) steps each lane took
+    x: np.ndarray  # (n + T, d)
+    y: np.ndarray  # (n + T,)
+    z: np.ndarray  # (n + T,)
+    costs: np.ndarray  # (T,)
+    records: list[np.ndarray]  # act's records, (T, ...) each; [] if T == 0
+    reached: np.ndarray  # (n,) ended on done (vs horizon_max)
+
+    @property
+    def last(self) -> np.ndarray:
+        """State row of each lane's final state."""
+        return np.cumsum(self.sizes + 1) - 1
+
+    def spans(self):
+        """(step rows, state rows) slices of each lane, in lane order."""
+        ends = np.cumsum(self.sizes)
+        for i, (size, end) in enumerate(zip(self.sizes, ends)):
+            yield slice(end - size, end), slice(end - size + i, end + i + 1)
+
+
+def _run_lanes(problem: ReachAvoidProblem, x0, y0, z0, act, done) -> _Lanes:
+    """Step every unfinished lane together until done or horizon_max.
+
+    (x0, y0, z0) are the n lanes' augmented starts. Each time step calls
+    act(x, y, z) -> (u, records) once on the rows of the unfinished
+    lanes, where records is a tuple of arrays with one row per lane, then
+    one step_and_cost; the flag latches on the arrival state and the
+    budget pays the cost. A lane ends when done(x, y, z) holds for its
+    arrival state; one whose start already satisfies it never steps.
+    """
+    x = np.array(x0, dtype=np.float64)
+    y = np.array(y0, dtype=np.float64)
+    z = np.array(z0, dtype=np.float64)
+    n = x.shape[0]
+    reached = np.asarray(done(x, y, z), dtype=bool)
+    alive = ~reached
+    lanes, xs, ys, zs = [np.arange(n)], [x.copy()], [y.copy()], [z.copy()]
+    costs, records = [np.empty(0)], []
+    for _ in range(problem.horizon_max):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        u, rec = act(x[idx], y[idx], z[idx])
+        x_next, c = problem.step_and_cost(x[idx], u)
+        x_next = np.asarray(x_next, dtype=np.float64)
+        c = np.asarray(c, dtype=np.float64)
+        y_next = np.maximum(shifted_indicator(problem.in_avoid(x_next)), y[idx])
+        z_next = z[idx] - c
+        x[idx], y[idx], z[idx] = x_next, y_next, z_next
+        arrived = np.asarray(done(x_next, y_next, z_next), dtype=bool)
+        reached[idx] = arrived
+        alive[idx] = ~arrived
+        for col, part in zip((lanes, xs, ys, zs, costs), (idx, x_next, y_next, z_next, c)):
+            col.append(part)
+        records.append(rec)
+
+    lanes = np.concatenate(lanes)
+    order = np.argsort(lanes, kind="stable")
+    step_order = order[order >= n] - n
+    return _Lanes(
+        sizes=np.bincount(lanes, minlength=n) - 1,
+        x=np.concatenate(xs)[order],
+        y=np.concatenate(ys)[order],
+        z=np.concatenate(zs)[order],
+        costs=np.concatenate(costs)[step_order],
+        records=[np.concatenate(col)[step_order] for col in zip(*records)],
+        reached=reached,
+    )
+
+
 # -- rollout collection --------------------------------------------------------
 
 
@@ -193,95 +276,55 @@ def collect_rollouts(
     Every lane resets once with a fresh initial state and an episode
     budget z0 ~ U[z_min, z_max]; the batch holds exactly n_envs complete
     episodes. An episode ends when the augmented goal margin of the
-    arrival state is nonpositive or at horizon_max.
+    arrival state is nonpositive or at horizon_max. Only cfg.n_envs and
+    cfg.z_min are read.
     """
     n = cfg.n_envs
     scale = problem.obs_scale
     big_c = goal_params.big_c
-    t_cap = problem.horizon_max
 
-    x = np.atleast_2d(problem.sample_initial(rng, n))
-    y = shifted_indicator(problem.in_avoid(x))
+    x0 = np.atleast_2d(problem.sample_initial(rng, n))
+    y0 = shifted_indicator(problem.in_avoid(x0))
     z0 = rng.uniform(cfg.z_min, z_max, n)
-    z = z0.copy()
 
-    ghat_now = np.maximum(
-        np.maximum(problem.goal_margin(x), big_c * y), -z
-    )
-    alive = ghat_now > 0.0
-    steps_taken = np.zeros(n, dtype=int)
+    def margin(x, y, z):
+        return augmented_margin(problem.goal_margin(x), y, z, big_c)
 
-    lane_rows: list[np.ndarray] = []
-    obs_rows, act_rows, logp_rows, ghat_rows, val_rows, cost_rows = [], [], [], [], [], []
-    reached = ~alive  # lanes born inside the augmented goal
-    tail_margin = np.where(reached, ghat_now, np.nan)
-
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        obs = build_obs(x[idx], y[idx], z[idx], scale, cfg.z_min, z_max)
+    def act(x, y, z):
+        obs = build_obs(x, y, z, scale, cfg.z_min, z_max)
         if deterministic:
             mean = approx.mlp_forward(policy.trunk, obs)
-            act = raw = np.clip(mean, policy.action_low, policy.action_high)
+            u = raw = np.clip(mean, policy.action_low, policy.action_high)
             logp = approx.log_prob_at_mean(policy, mean, raw)
         else:
-            act, raw, logp = approx.policy_sample(policy, obs, rng)
+            u, raw, logp = approx.policy_sample(policy, obs, rng)
         vals = approx.mlp_forward(value_params, obs)[:, 0] * big_c
+        return u, (obs, raw, logp, vals)
 
-        x_next, c = problem.step_and_cost(x[idx], act)
-        y_next = np.maximum(shifted_indicator(problem.in_avoid(x_next)), y[idx])
-        z_next = z[idx] - c
-
-        lane_rows.append(idx)
-        obs_rows.append(obs)
-        act_rows.append(raw)
-        logp_rows.append(logp)
-        ghat_rows.append(ghat_now[idx])
-        val_rows.append(vals)
-        cost_rows.append(np.asarray(c, dtype=np.float64))
-
-        steps_taken[idx] += 1
-        ghat_next = np.maximum(
-            np.maximum(problem.goal_margin(x_next), big_c * y_next), -z_next
-        )
-        done_reach = ghat_next <= 0.0
-        done_trunc = (~done_reach) & (steps_taken[idx] >= t_cap)
-
-        x[idx], y[idx], z[idx] = x_next, y_next, z_next
-        ghat_now[idx] = ghat_next
-        reached[idx[done_reach]] = True
-        tail_margin[idx[done_reach]] = ghat_next[done_reach]
-        alive[idx] = ~(done_reach | done_trunc)
-
-    lane_cat = np.concatenate(lane_rows) if lane_rows else np.empty(0, dtype=int)
-    obs_cat = np.concatenate(obs_rows) if obs_rows else np.empty((0, 0))
-    act_cat = np.concatenate(act_rows) if act_rows else np.empty((0, 0))
-    logp_cat = np.concatenate(logp_rows) if logp_rows else np.empty(0)
-    ghat_cat = np.concatenate(ghat_rows) if ghat_rows else np.empty(0)
-    val_cat = np.concatenate(val_rows) if val_rows else np.empty(0)
-    cost_cat = np.concatenate(cost_rows) if cost_rows else np.empty(0)
-
+    run = _run_lanes(problem, x0, y0, z0, act, lambda x, y, z: margin(x, y, z) <= 0.0)
+    ghat = margin(run.x, run.y, run.z)
+    visited = np.delete(ghat, run.last)
+    obs, raw, logp, vals = run.records or [np.empty(0)] * 4
     episodes = []
-    for lane in range(n):
-        sel = lane_cat == lane
-        t_len = int(sel.sum())
-        if reached[lane]:
-            tail = float(tail_margin[lane])
+    for i, ((steps, _), last) in enumerate(zip(run.spans(), run.last)):
+        if run.reached[i]:
+            tail = float(ghat[last])
         else:
+            final = slice(last, last + 1)
             final_obs = build_obs(
-                x[lane : lane + 1], y[lane : lane + 1], z[lane : lane + 1],
-                scale, cfg.z_min, z_max,
+                run.x[final], run.y[final], run.z[final], scale, cfg.z_min, z_max
             )
             tail = float(approx.mlp_forward(value_params, final_obs)[0, 0] * big_c)
         episodes.append(
             EpisodeRecord(
-                obs=obs_cat[sel],
-                actions_raw=act_cat[sel],
-                log_probs=logp_cat[sel],
-                ghat=ghat_cat[sel],
-                values=val_cat[sel],
-                costs=cost_cat[sel],
-                z0=float(z0[lane]),
-                reached=bool(reached[lane]),
+                obs=obs[steps],
+                actions_raw=raw[steps],
+                log_probs=logp[steps],
+                ghat=visited[steps],
+                values=vals[steps],
+                costs=run.costs[steps],
+                z0=float(z0[i]),
+                reached=bool(run.reached[i]),
                 tail_value=tail,
             )
         )
@@ -382,6 +425,80 @@ def value_loss(
 # -- training loops -------------------------------------------------------------
 
 
+def _ppo_update(
+    cfg, rng, iteration, obs, returns, value_params, val_adam, value_scale, policy=None
+) -> dict:
+    """Shuffled minibatch epochs of value (and policy) updates.
+
+    cfg supplies epochs, minibatch_size and, with a policy, clip_eps.
+    policy is None for a value-only update, or (params, adam,
+    actions_raw, log_probs, advantages, entropy_coef); each minibatch
+    then takes a clipped-surrogate step before its value step. Returns
+    the last minibatch's losses and policy diagnostics as log columns;
+    a value-only update logs zero policy loss, entropy and KL.
+    """
+    if policy is None:
+        p_loss, stats = 0.0, {"entropy": 0.0, "kl_estimate": 0.0}
+    else:
+        p_loss, stats = math.nan, {}
+        params, adam, actions_raw, log_probs, advantages, entropy_coef = policy
+    v_loss = math.nan
+    n_samples = obs.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_samples)
+        for lo in range(0, n_samples, cfg.minibatch_size):
+            mb = order[lo : lo + cfg.minibatch_size]
+            if policy is not None:
+                p_loss, grads, stats = ppo_policy_loss(
+                    params, obs[mb], actions_raw[mb], log_probs[mb], advantages[mb],
+                    cfg.clip_eps, entropy_coef,
+                )
+                approx.adam_step(adam, params.trainable(), grads)
+            v_loss, v_grads = value_loss(value_params, obs[mb], returns[mb], value_scale)
+            approx.adam_step(val_adam, value_params.trainable(), v_grads)
+            if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
+                raise RuntimeError(
+                    f"non-finite loss at iteration {iteration} "
+                    f"(policy {p_loss}, value {v_loss})"
+                )
+    return {
+        "policy_loss": p_loss,
+        "value_loss": v_loss,
+        "entropy": stats.get("entropy", math.nan),
+        "kl_estimate": stats.get("kl_estimate", math.nan),
+    }
+
+
+def _stack_episodes(batch: RolloutBatch, gamma: float, lam: float, mode: str):
+    """(obs, actions_raw, log_probs, phi-fold advantages, lambda-returns)
+    over the episodes that took a step, concatenated; None if none did."""
+    eps = [ep for ep in batch.episodes if len(ep.costs) > 0]
+    if not eps:
+        return None
+    folds = [_gae_arrays(ep.ghat, ep.values, ep.tail_value, gamma, lam, mode) for ep in eps]
+    return (
+        np.concatenate([ep.obs for ep in eps]),
+        np.concatenate([ep.actions_raw for ep in eps]),
+        np.concatenate([ep.log_probs for ep in eps]),
+        np.concatenate([gae for gae, _ in folds]),
+        np.concatenate([ret for _, ret in folds]),
+    )
+
+
+def _log_row(
+    iteration: int, env_steps: int, reach_rate: float, mean_cost_reached: float,
+    losses: dict,
+) -> dict:
+    """One training log row, in the schema every trainer shares."""
+    return {
+        "iteration": iteration,
+        "env_steps": env_steps,
+        "reach_rate": reach_rate,
+        "mean_cost_reached": mean_cost_reached,
+        **losses,
+    }
+
+
 def _resolve_setup(
     problem: ReachAvoidProblem, cfg: Phase1Config, rng: np.random.Generator
 ) -> tuple[float, float]:
@@ -447,62 +564,23 @@ def train_phase1(problem: ReachAvoidProblem, cfg: Phase1Config) -> TrainResult:
         env_steps += batch.total_steps
         iteration += 1
 
-        eps = [ep for ep in batch.episodes if len(ep.costs) > 0]
-        if not eps:
+        stacked = _stack_episodes(batch, cfg.gamma, cfg.lam, cfg.gae_mode)
+        if stacked is None:
             continue
-        gae_parts, ret_parts = [], []
-        for ep in eps:
-            gae, lam_ret = _gae_arrays(
-                ep.ghat, ep.values, ep.tail_value, cfg.gamma, cfg.lam, cfg.gae_mode
-            )
-            gae_parts.append(gae)
-            ret_parts.append(lam_ret)
-        obs_all = np.concatenate([ep.obs for ep in eps])
-        act_all = np.concatenate([ep.actions_raw for ep in eps])
-        logp_all = np.concatenate([ep.log_probs for ep in eps])
-        gae_all = np.concatenate(gae_parts)
-        ret_all = np.concatenate(ret_parts)
+        obs, raw, logp, gae, ret = stacked
 
         # Lower reach value is better, so good actions carry negative
         # phi-advantages; the surrogate expects the opposite sign.
-        adv = -gae_all
+        adv = -gae
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-        n_samples = obs_all.shape[0]
-        stats_acc: dict[str, float] = {}
-        last_policy_loss = math.nan
-        last_value_loss = math.nan
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n_samples)
-            for lo in range(0, n_samples, cfg.minibatch_size):
-                mb = order[lo : lo + cfg.minibatch_size]
-                p_loss, p_grads, stats = ppo_policy_loss(
-                    policy, obs_all[mb], act_all[mb], logp_all[mb], adv[mb],
-                    cfg.clip_eps, ent_now,
-                )
-                approx.adam_step(pol_adam, policy.trainable(), p_grads)
-                v_loss, v_grads = value_loss(value_params, obs_all[mb], ret_all[mb], big_c)
-                approx.adam_step(val_adam, value_params.trainable(), v_grads)
-                if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
-                    raise RuntimeError(
-                        f"non-finite loss at iteration {iteration} "
-                        f"(policy {p_loss}, value {v_loss})"
-                    )
-                last_policy_loss, last_value_loss = p_loss, v_loss
-                stats_acc = stats
-
-        log_rows.append(
-            {
-                "iteration": iteration,
-                "env_steps": env_steps,
-                "reach_rate": batch.reach_rate,
-                "mean_cost_reached": batch.mean_cost_reached,
-                "policy_loss": last_policy_loss,
-                "value_loss": last_value_loss,
-                "entropy": stats_acc.get("entropy", math.nan),
-                "kl_estimate": stats_acc.get("kl_estimate", math.nan),
-            }
+        losses = _ppo_update(
+            cfg, rng, iteration, obs, ret, value_params, val_adam, big_c,
+            policy=(policy, pol_adam, raw, logp, adv, ent_now),
         )
+        log_rows.append(_log_row(
+            iteration, env_steps, batch.reach_rate, batch.mean_cost_reached, losses
+        ))
     return TrainResult(policy=policy, value=value_params, log_rows=log_rows, meta=meta)
 
 
@@ -535,16 +613,7 @@ def finetune_phase2(
         activation=value_params.activation,
     )
     val_adam = approx.AdamState.for_params(value_params.trainable(), cfg.lr)
-    roll_cfg = Phase1Config(
-        total_steps=cfg.total_steps,
-        n_envs=cfg.n_envs,
-        z_min=meta["z_min"],
-        z_max=meta["z_max"],
-        big_c=big_c,
-        gamma=gamma,
-        lam=cfg.lam,
-        seed=cfg.seed,
-    )
+    roll_cfg = Phase1Config(n_envs=cfg.n_envs, z_min=meta["z_min"])
 
     log_rows: list[dict] = []
     env_steps = 0
@@ -558,40 +627,14 @@ def finetune_phase2(
         )
         env_steps += batch.total_steps
         iteration += 1
-        eps = [ep for ep in batch.episodes if len(ep.costs) > 0]
-        if not eps:
+        stacked = _stack_episodes(batch, gamma, cfg.lam, cfg.gae_mode)
+        if stacked is None:
             continue
-        ret_parts = []
-        for ep in eps:
-            _, lam_ret = _gae_arrays(
-                ep.ghat, ep.values, ep.tail_value, gamma, cfg.lam, cfg.gae_mode
-            )
-            ret_parts.append(lam_ret)
-        obs_all = np.concatenate([ep.obs for ep in eps])
-        ret_all = np.concatenate(ret_parts)
-        n_samples = obs_all.shape[0]
-        last_v = math.nan
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n_samples)
-            for lo in range(0, n_samples, cfg.minibatch_size):
-                mb = order[lo : lo + cfg.minibatch_size]
-                v_loss, v_grads = value_loss(value_params, obs_all[mb], ret_all[mb], big_c)
-                approx.adam_step(val_adam, value_params.trainable(), v_grads)
-                if not math.isfinite(v_loss):
-                    raise RuntimeError(f"non-finite value loss at iteration {iteration}")
-                last_v = v_loss
-        log_rows.append(
-            {
-                "iteration": iteration,
-                "env_steps": env_steps,
-                "reach_rate": batch.reach_rate,
-                "mean_cost_reached": batch.mean_cost_reached,
-                "policy_loss": 0.0,
-                "value_loss": last_v,
-                "entropy": 0.0,
-                "kl_estimate": 0.0,
-            }
-        )
+        obs, _, _, _, ret = stacked
+        losses = _ppo_update(cfg, rng, iteration, obs, ret, value_params, val_adam, big_c)
+        log_rows.append(_log_row(
+            iteration, env_steps, batch.reach_rate, batch.mean_cost_reached, losses
+        ))
     meta2 = dict(meta)
     meta2["phase2_gamma"] = gamma
     return value_params, log_rows, meta2
@@ -836,67 +879,35 @@ def deploy_policy(
     budgets = [_start_budget(z_source, starts[i], float(y0[i]), meta) for i in range(n)]
     z0 = np.array([b for b, _ in budgets], dtype=np.float64)
 
-    x, y, z = starts.copy(), y0.copy(), z0.copy()
-    reached = np.asarray(problem.in_goal(x), dtype=bool)
-    alive = ~reached
-    # one entry per time step: (lanes, actions, costs, x', y', z') of the
-    # lanes that stepped
-    steps = []
-    for _ in range(problem.horizon_max):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
+    def act(x, y, z):
         if is_budget:
-            obs = build_obs(x[idx], y[idx], z[idx], scale, meta["z_min"], meta["z_max"])
+            obs = build_obs(x, y, z, scale, meta["z_min"], meta["z_max"])
         else:
-            obs = x[idx] / scale
-        act = approx.policy_mode(policy, obs)
-        x_next, c = problem.step_and_cost(x[idx], act)
-        x_next = np.asarray(x_next, dtype=np.float64)
-        c = np.asarray(c, dtype=np.float64)
-        y_next = np.maximum(shifted_indicator(problem.in_avoid(x_next)), y[idx])
-        z_next = z[idx] - c
-        x[idx], y[idx], z[idx] = x_next, y_next, z_next
-        steps.append((idx, act, c, x_next, y_next, z_next))
-        arrived = np.asarray(problem.in_goal(x_next), dtype=bool)
-        reached[idx] = arrived
-        alive[idx] = ~arrived
+            obs = x / scale
+        u = approx.policy_mode(policy, obs)
+        return u, (u,)
 
-    # Gather each lane's rows into one block, start row first; the start
-    # row carries no action or cost.
-    def gathered(first, k):
-        return np.concatenate([first] + [step[k] for step in steps])
-
-    lanes = gathered(np.arange(n), 0)
-    order = np.argsort(lanes, kind="stable")
-    states = gathered(starts, 3)[order]
-    actions = gathered(np.full((n, problem.action_dim), np.nan), 1)[order]
-    costs = gathered(np.full(n, np.nan), 2)[order]
-    ys = gathered(y0, 4)[order]
-    zs = gathered(z0, 5)[order]
-    g = np.asarray(problem.goal_margin(states), dtype=np.float64)
-    h = np.asarray(problem.avoid_margin(states), dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        ghat = np.maximum(np.maximum(g, goal_params.big_c * ys), -zs)
-
-    sizes = np.bincount(lanes, minlength=n)
-    ends = np.cumsum(sizes)
+    run = _run_lanes(problem, starts, y0, z0, act, lambda x, y, z: problem.in_goal(x))
+    (actions,) = run.records or [np.empty((0, problem.action_dim))]
+    g = np.asarray(problem.goal_margin(run.x), dtype=np.float64)
+    h = np.asarray(problem.avoid_margin(run.x), dtype=np.float64)
+    ghat = augmented_margin(g, run.y, run.z, goal_params.big_c)
     trajs = [
         Trajectory(
-            states=states[lo:hi],
-            actions=actions[lo + 1 : hi],
-            costs=costs[lo + 1 : hi],
-            y=ys[lo:hi],
-            z=zs[lo:hi],
-            g=g[lo:hi],
-            h=h[lo:hi],
-            ghat=ghat[lo:hi],
+            states=run.x[states],
+            actions=actions[steps],
+            costs=run.costs[steps],
+            y=run.y[states],
+            z=run.z[states],
+            g=g[states],
+            h=h[states],
+            ghat=ghat[states],
             z0=float(z0[i]),
-            reached=bool(reached[i]),
-            violated=bool(np.any(ys[lo:hi] > 0)),
+            reached=bool(run.reached[i]),
+            violated=bool(np.any(run.y[states] > 0)),
             infeasible_start=budgets[i][1],
         )
-        for i, (lo, hi) in enumerate(zip(ends - sizes, ends))
+        for i, (steps, states) in enumerate(run.spans())
     ]
     return trajs[0] if single else trajs
 

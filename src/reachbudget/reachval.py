@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .augment import augmented_margin
 from .envkit.tabular import TabularMDP
 
 
@@ -234,9 +235,8 @@ def augment_tabular(mdp: TabularMDP, z_grid: np.ndarray, big_c: float) -> Augmen
     z_n = len(z_grid)
     y_vals = np.array([-1.0, 1.0])
 
-    ghat = np.maximum(
-        mdp.g_values[:, None, None],
-        np.maximum(big_c * y_vals[None, :, None], -z_grid[None, None, :]),
+    ghat = augmented_margin(
+        mdp.g_values[:, None, None], y_vals[None, :, None], z_grid[None, None, :], big_c
     )
 
     # Successor indices: y latches on the arrival state, z snaps down.

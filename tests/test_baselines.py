@@ -259,6 +259,42 @@ def test_grid_search_cells_are_reproducible_across_calls(pendulum):
     r1 = baselines.grid_search(pendulum, base, **kw)
     r2 = baselines.grid_search(pendulum, base, **kw)
     assert r1 == r2
+    # the docstring promises rows independent of the worker count
+    r3 = baselines.grid_search(pendulum, base, n_workers=2, **kw)
+    assert r3 == r1
+
+
+def test_grid_cells_train_with_every_base_setting_but_the_swept_weights(
+    pendulum, monkeypatch
+):
+    seen = []
+
+    def spy(problem, cfg):
+        seen.append(cfg)
+        return real(problem, cfg)
+
+    real = baselines.train_ppo_baseline
+    monkeypatch.setattr(baselines, "train_ppo_baseline", spy)
+    base = BaselineConfig(
+        total_steps=300, n_envs=2, epochs=1, minibatch_size=64, hidden=(8, 8),
+        init_log_std=-1.5,
+        reward=LagrangianRewardConfig(c_fail=7.0, shaping_enabled=True, shaping_k=3.0),
+    )
+    rows = baselines.grid_search(
+        pendulum, base, r_goal_values=[10.0], p_goal_values=[2.0], beta_values=[0.1],
+        n_eval_episodes=2, seed=9,
+    )
+    assert rows[0]["error"] == ""
+    (cfg,) = seen
+    assert cfg.init_log_std == -1.5
+    assert (cfg.reward.r_goal, cfg.reward.p_goal, cfg.reward.beta) == (10.0, 2.0, 0.1)
+    assert (cfg.reward.c_fail, cfg.reward.shaping_enabled, cfg.reward.shaping_k) == (
+        7.0, True, 3.0
+    )
+    assert cfg.reward.gamma == cfg.gamma
+    for name in ("total_steps", "n_envs", "epochs", "minibatch_size", "hidden"):
+        assert getattr(cfg, name) == getattr(base, name)
+    assert cfg.seed == rows[0]["seed"]
 
 
 # -- two-state analytic testbed ----------------------------------------------------------

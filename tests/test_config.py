@@ -135,6 +135,34 @@ def test_config_hash_is_stable_and_sensitive():
     assert set(config_hash(base)) <= set("0123456789abcdef")
 
 
+# Checkpoints store config_hash and loading refuses a mismatch, so the
+# hash of a resolved config must not move when the defaults or the
+# builders are rewritten.
+PINNED_OVERRIDE = {
+    "env": {"name": "windfield", "noise_half_width": 0.1},
+    "train": {"hidden": [32, 16], "z_max": 600, "lr": 1e-3},
+    "phase2": {"gamma": 0.999, "lam": 0.98},
+    "baseline": {
+        "gamma": 0.97,
+        "init_log_std": -1.5,
+        "reward": {"beta": 0.1, "shaping_enabled": True},
+    },
+    "eval": {"tol": 6},
+}
+
+
+def test_config_hash_of_the_defaults_is_pinned():
+    assert config_hash(resolve_config({})) == (
+        "37faa4107cd8dee291e074c1070a89135712a3bf6a2a0e532a8fef3641f443cb"
+    )
+
+
+def test_config_hash_of_an_overridden_config_is_pinned():
+    assert config_hash(resolve_config(PINNED_OVERRIDE)) == (
+        "92681f04a00552f99f34b1103dce237c4b937a2cdcb30589bf18e2d2ab7e2cf3"
+    )
+
+
 def test_config_hash_ignores_key_order():
     cfg = resolve_config({})
     reordered = {k: cfg[k] for k in reversed(list(cfg))}

@@ -1,0 +1,181 @@
+"""Pinned sha256 digests of short tiny-net runs.
+
+Each case runs a trainer, a rollout collection or an evaluation with
+16x16 nets for a few iterations and hashes everything it returns:
+arrays with their dtype and shape, log rows as JSON in their own key
+order, dataclasses field by field. The pins were captured before the
+trainers and deployment shared one lane engine and one update loop, so
+a refactor of either that moves one bit of any output fails here.
+
+The digests hold for a given numpy and BLAS build; a different build
+may round a matmul differently and needs the pins captured again.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from reachbudget import baselines, rcppo
+from reachbudget.augment import AugmentedGoalParams
+from reachbudget.envkit import (
+    ControlNoiseWrapper,
+    NoiseWrapperConfig,
+    pendulum_make,
+    windfield_make,
+)
+
+ENVS = {
+    "pendulum": pendulum_make,
+    "windfield": windfield_make,
+    "noisy": lambda: ControlNoiseWrapper(
+        pendulum_make(), NoiseWrapperConfig(noise_half_width=0.1, seed=5)
+    ),
+}
+
+PHASE1 = dict(total_steps=1200, n_envs=3, epochs=2, minibatch_size=64, hidden=(16, 16))
+PHASE2 = dict(total_steps=800, n_envs=3, epochs=2, minibatch_size=64, seed=4)
+BASELINE = dict(total_steps=1200, n_envs=3, epochs=2, minibatch_size=64, hidden=(16, 16))
+
+
+def _feed(h, obj) -> None:
+    if isinstance(obj, np.ndarray):
+        h.update(repr((obj.dtype.str, obj.shape)).encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            h.update(f.name.encode())
+            _feed(h, getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)) and any(
+        isinstance(v, np.ndarray) or dataclasses.is_dataclass(v) for v in obj
+    ):
+        for v in obj:
+            _feed(h, v)
+    else:
+        h.update(json.dumps(obj, default=repr).encode())
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        _feed(h, part)
+    return h.hexdigest()
+
+
+def _phase1(env: str, seed: int = 2):
+    cfg = rcppo.Phase1Config(**PHASE1, seed=seed)
+    return rcppo.train_phase1(ENVS[env](), cfg)
+
+
+def _run_phase1(env):
+    res = _phase1(env)
+    return (res.policy.trainable(), res.value.trainable(), res.log_rows, res.meta)
+
+
+def _run_phase2(env):
+    res = _phase1(env)
+    value2, rows, meta2 = rcppo.finetune_phase2(
+        ENVS[env](), res.policy, res.value, res.meta, rcppo.Phase2Config(**PHASE2)
+    )
+    return (value2.trainable(), rows, meta2)
+
+
+def _run_baseline(env, shaping):
+    reward = baselines.LagrangianRewardConfig(
+        beta=0.5, p_goal=1.0, shaping_enabled=shaping, shaping_k=2.0
+    )
+    cfg = baselines.BaselineConfig(**BASELINE, reward=reward, seed=6)
+    res = baselines.train_ppo_baseline(ENVS[env](), cfg)
+    return (res.policy.trainable(), res.value.trainable(), res.log_rows, res.meta)
+
+
+def _run_rollouts(env, deterministic):
+    res = _phase1(env)
+    problem = ENVS[env]()
+    cfg = rcppo.Phase1Config(**PHASE1, seed=2, z_max=res.meta["z_max"])
+    rng = np.random.Generator(np.random.PCG64(8))
+    batch = rcppo.collect_rollouts(
+        problem, res.policy, res.value, cfg, AugmentedGoalParams(big_c=res.meta["big_c"]),
+        rng, res.meta["z_max"], deterministic=deterministic,
+    )
+    return (batch.episodes,)
+
+
+def _run_evaluate(env, source):
+    res = _phase1(env)
+    problem = ENVS[env]()
+    if source == "fixed":
+        z_source, meta = 0.2 * res.meta["z_max"], res.meta
+    elif source == "bisected":
+        # decreasing in z, with a root past z_max (Infeasible) for the
+        # starts farthest from the origin
+        scale, z_max = problem.obs_scale, res.meta["z_max"]
+
+        def value_fn(x, y, z):
+            return 1.2 * z_max * float(np.sum((np.asarray(x) / scale) ** 2)) + 100.0 * y - z
+
+        def z_source(x, y):
+            return rcppo.bisect_z_star(
+                value_fn, x, y, res.meta["z_min"], res.meta["z_max"], tol=5.0
+            ).z_star
+
+        meta = res.meta
+    else:
+        base = baselines.BaselineConfig(**BASELINE, seed=6)
+        trained = baselines.train_ppo_baseline(ENVS[env](), base)
+        z_source, meta = None, trained.meta
+        res = trained
+    report = rcppo.evaluate_policy(problem, res.policy, meta, z_source, 12, seed=9)
+    return (report,)
+
+
+CASES = {}
+for _env in ENVS:
+    CASES[f"phase1-{_env}"] = (_run_phase1, _env)
+    CASES[f"phase2-{_env}"] = (_run_phase2, _env)
+    CASES[f"baseline-{_env}"] = (_run_baseline, _env, False)
+    CASES[f"baseline-shaped-{_env}"] = (_run_baseline, _env, True)
+    CASES[f"rollouts-sampled-{_env}"] = (_run_rollouts, _env, False)
+    CASES[f"rollouts-mode-{_env}"] = (_run_rollouts, _env, True)
+    for _source in ("fixed", "bisected", "none"):
+        CASES[f"evaluate-{_source}-{_env}"] = (_run_evaluate, _env, _source)
+
+PINS = {
+    "baseline-noisy": "d4defcb223473c53c5d76d52a0e899fa7ccfe02168b5a2a2c31d72647580228f",
+    "baseline-pendulum": "5ae4f796c8a0da0c25ffb696396502871ac553d3c0cafe54251ca5acd65aff59",
+    "baseline-shaped-noisy": "f4d79acefb5088b11f47bc65a507ef0091f2ad972efed5ba184ffeb6c95c5eea",
+    "baseline-shaped-pendulum": "89dedfe9f9fb209f82b0ee61f142a805b9d89cce3688b9de978347f7b6ef59d1",
+    "baseline-shaped-windfield": "aa08e4ee8bed263380b45fc6bb5a5523e02d5eec7eaec9bb7dd299d5de34f89d",
+    "baseline-windfield": "7882a9b66040362d6e3c0fc1cc46436365bd8bf7bb522e7fde5fca273d952059",
+    "evaluate-bisected-noisy": "b55074cd6de60adfbaf533ff94913350e0c194668da068c29104ca8079ed430e",
+    "evaluate-bisected-pendulum": "585a62ca84b056361944c5b85960c01086f032cbcb038cc7960206a2fce55bea",
+    "evaluate-bisected-windfield": "ed3649ab8501d1bfad774b06ee31a1e5f24ff8155ae18b279e437b4e46d703c8",
+    "evaluate-fixed-noisy": "315c56fd862cdad82c18749673adeece34ddd5e981cd0c2f4528f0f4f54c27fe",
+    "evaluate-fixed-pendulum": "e77ba7e6facc453e694dfb4c7436b432b2b185efa0dfba5c6dcfb3cc55361b8d",
+    "evaluate-fixed-windfield": "8f1b3f5417e70d4642975156339a413c626bce483db6e8d16bb2808f27a1d3e3",
+    "evaluate-none-noisy": "d951ac6197d10c33ffca31388b292fa62896e74f9f6a498ab556108b02c47b8f",
+    "evaluate-none-pendulum": "8652b1a7b02ba70cf6e928dc61a20358f9cbccd253a88675bb20389a6b6c007c",
+    "evaluate-none-windfield": "a90f835a73cf70966e459ed53714dd2b057c725c79950fa512d48a248797f760",
+    "phase1-noisy": "c07d7c1e39c9879d4e5759de2879da560b02d37a26491512f65fe42b1aea8790",
+    "phase1-pendulum": "b4e34100aa6998d3469388ba84e97d114a206d7e70dc3f301f5832b671c29d0e",
+    "phase1-windfield": "69a7d6a202ff14fd57a4da0884f50ff6cda09531ad848299db8f46f3639485cc",
+    "phase2-noisy": "86822fe4ab47da95da2517c45aef58644463903c35bdaa27c51215476e1692e9",
+    "phase2-pendulum": "ff2bddb80fd91941921b0e1fabe1f85a4f40211127f228c4def4f6d10faba47b",
+    "phase2-windfield": "9ea0630437d1511f4ae728e703557b3f48341be8bb20e71f9f6104322c0e58fd",
+    "rollouts-mode-noisy": "3deb820a46ae031558f3e9c66658b050054193ac2340f09942184b02c8e1ee19",
+    "rollouts-mode-pendulum": "be93badecc8962536cc562f6d4229a1f190ca08ed938d22ec8e45298b4c18c50",
+    "rollouts-mode-windfield": "09c60ae07d05a8786884665488cf61c7bf8e37b3b45f210a50fe560bc8b544dc",
+    "rollouts-sampled-noisy": "4f159c532ca6f9c01e7d9f5adb806f08809a11135725131c14c74d0a7e3db22e",
+    "rollouts-sampled-pendulum": "efa1c2bdc05d12a574d6066ac9b52c78b408564318d9c7fe41000203d1992299",
+    "rollouts-sampled-windfield": "b8824f9dcfa9791a5ab43fe0ee61b2a7415b593ff1e11e88f8dd966b3c4ca4da",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_short_runs_match_their_pinned_digests(case):
+    fn, *args = CASES[case]
+    assert _digest(*fn(*args)) == PINS[case]
