@@ -56,20 +56,20 @@ class PendulumSwingUp(ReachAvoidProblem):
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         xb, single = _as_batch(x, self.state_dim)
         ub, _ = _as_batch(u, self.action_dim)
-        torque = np.clip(ub[:, 0], -_TORQUE_LIMIT, _TORQUE_LIMIT)
+        torque = np.minimum(np.maximum(ub[:, 0], -_TORQUE_LIMIT), _TORQUE_LIMIT)
         theta, theta_dot = xb[:, 0], xb[:, 1]
         accel = (
             3.0 * _GRAVITY / (2.0 * _LENGTH) * np.sin(theta)
             + 3.0 / (_MASS * _LENGTH**2) * torque
         )
-        new_dot = np.clip(theta_dot + accel * _DT, -_MAX_SPEED, _MAX_SPEED)
+        new_dot = np.minimum(np.maximum(theta_dot + accel * _DT, -_MAX_SPEED), _MAX_SPEED)
         new_theta = _wrap_angle(theta + new_dot * _DT)
         return _squeeze(np.stack([new_theta, new_dot], axis=1), single)
 
     def cost(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         ub, single = _as_batch(u, self.action_dim)
         # priced on the torque actually applied, i.e. after clipping
-        norm = np.abs(np.clip(ub[:, 0], -_TORQUE_LIMIT, _TORQUE_LIMIT))
+        norm = np.abs(np.minimum(np.maximum(ub[:, 0], -_TORQUE_LIMIT), _TORQUE_LIMIT))
         c = np.where(norm < 0.1, 0.0, 8.0 * norm**2)
         return _squeeze(c, single)
 

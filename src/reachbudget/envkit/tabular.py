@@ -106,7 +106,7 @@ class TabularProblemView(ReachAvoidProblem):
         xb, single = _as_batch(x, 1)
         ub, _ = _as_batch(u, 1)
         s = self._idx(xb)
-        a = np.clip(np.rint(ub[:, 0]).astype(int), 0, self.mdp.n_actions - 1)
+        a = np.minimum(np.maximum(np.rint(ub[:, 0]).astype(int), 0), self.mdp.n_actions - 1)
         nxt = self.mdp.next_state[s, a].astype(np.float64)[:, None]
         return _squeeze(nxt, single)
 
@@ -114,7 +114,7 @@ class TabularProblemView(ReachAvoidProblem):
         xb, single = _as_batch(x, 1)
         ub, _ = _as_batch(u, 1)
         s = self._idx(xb)
-        a = np.clip(np.rint(ub[:, 0]).astype(int), 0, self.mdp.n_actions - 1)
+        a = np.minimum(np.maximum(np.rint(ub[:, 0]).astype(int), 0), self.mdp.n_actions - 1)
         return _squeeze(self.mdp.cost[s, a], single)
 
     def max_step_cost(self) -> float:

@@ -95,13 +95,13 @@ class WindFieldLite(ReachAvoidProblem):
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         xb, single = _as_batch(x, self.state_dim)
         ub, _ = _as_batch(u, self.action_dim)
-        vel = np.clip(ub, self.action_low, self.action_high) + self.wind_at(xb)
-        nxt = np.clip(xb + vel * _DT, -_BOX, _BOX)
+        vel = np.minimum(np.maximum(ub, self.action_low), self.action_high) + self.wind_at(xb)
+        nxt = np.minimum(np.maximum(xb + vel * _DT, -_BOX), _BOX)
         return _squeeze(nxt, single)
 
     def cost(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         ub, single = _as_batch(u, self.action_dim)
-        uc = np.clip(ub, self.action_low, self.action_high)
+        uc = np.minimum(np.maximum(ub, self.action_low), self.action_high)
         return _squeeze(0.5 * np.sum(uc**2, axis=1), single)
 
     def max_step_cost(self) -> float:

@@ -148,30 +148,45 @@ def build_obs(
     z_min: float,
     z_max: float,
 ) -> np.ndarray:
-    """Network input (x / scale, y, z normalized to [0, 1] and clipped)."""
+    """Network input (x / scale, y, z normalized to [0, 1] and clipped to [-1, 1]).
+
+    x is one state (d,) or rows (n, d); y and z are scalars or (n,).
+    One state with n budgets gives n rows.
+    """
     xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
     z_norm = (np.asarray(z, dtype=np.float64) - z_min) / (z_max - z_min)
-    z_norm = np.clip(z_norm, -1.0, 1.0)
-    return np.concatenate(
-        [
-            xb / obs_scale,
-            np.broadcast_to(np.asarray(y, dtype=np.float64), (xb.shape[0],))[:, None],
-            np.broadcast_to(z_norm, (xb.shape[0],))[:, None],
-        ],
-        axis=1,
-    )
+    obs = np.empty((max(xb.shape[0], z_norm.size), xb.shape[1] + 2))
+    np.divide(xb, obs_scale, out=obs[:, :-2])
+    obs[:, -2] = y
+    obs[:, -1] = np.minimum(np.maximum(z_norm, -1.0), 1.0)
+    return obs
+
+
+# Rows per value forward. Larger blocks run no faster, and a forward of
+# thousands of rows keeps several MB resident after it returns.
+_FORWARD_ROWS = 256
 
 
 def value_fn_from(
     value_params: approx.MlpParams, meta: dict
 ):
-    """Wrap a value checkpoint as callable (x, y, z) -> raw-unit value."""
+    """Wrap a value checkpoint as callable (x, y, z) -> raw-unit values.
+
+    x is one state (d,) or rows (n, d), y and z scalars or (n,); the
+    result has one value per observation row (see build_obs), from one
+    forward per _FORWARD_ROWS rows. This is the value-function contract
+    of bisect_z_star.
+    """
     scale = np.asarray(meta["obs_scale"], dtype=np.float64)
     z_min, z_max, big_c = meta["z_min"], meta["z_max"], meta["big_c"]
 
-    def fn(x, y, z) -> float:
+    def fn(x, y, z) -> np.ndarray:
         obs = build_obs(x, y, z, scale, z_min, z_max)
-        return float(approx.mlp_forward(value_params, obs)[0, 0] * big_c)
+        v = np.empty(obs.shape[0])
+        for s in range(0, obs.shape[0], _FORWARD_ROWS):
+            block = slice(s, s + _FORWARD_ROWS)
+            v[block] = approx.mlp_forward(value_params, obs[block])[:, 0]
+        return v * big_c
 
     return fn
 
@@ -643,6 +658,106 @@ def finetune_phase2(
 # -- budget search ---------------------------------------------------------------
 
 
+# Each bisection round asks for every midpoint of the next _TREE_LEVELS
+# levels of each unfinished state's bisection tree in one value call:
+# _TREE_NODES budgets per state, in heap order (node k's children are
+# 2k + 1, below the midpoint, and 2k + 2, above it).
+_TREE_LEVELS = 3
+_TREE_NODES = 2**_TREE_LEVELS - 1
+
+
+def _tree_midpoints(lo: float, hi: float) -> list[float]:
+    """Midpoints of the top _TREE_LEVELS levels of [lo, hi]'s bisection tree."""
+    brackets, mids = [(lo, hi)], []
+    for k in range(_TREE_NODES):
+        a, b = brackets[k]
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        brackets += ((a, mid), (mid, b))
+    return mids
+
+
+def _bisect(value_fn, x, y, rows: bool, z_min, z_max, tol, scan_points):
+    """Bisection for n states at once; one ZStarSolution or Infeasible per state.
+
+    With rows False, x and y are one state, passed to value_fn exactly
+    as given; with rows True they are n rows, and each call passes the
+    rows aligned with its budgets. See bisect_z_star for the rest.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+    if not (math.isfinite(z_min) and math.isfinite(z_max)):
+        raise ValueError("z_min and z_max must be finite")
+    if z_max < z_min:
+        raise ValueError("need z_min <= z_max")
+
+    def values_at(states, per_state: int, zs) -> list[float]:
+        z = np.asarray(zs, dtype=np.float64)
+        if rows:
+            idx = np.repeat(states, per_state)
+            v = value_fn(x[idx], y[idx], z)
+        else:
+            v = value_fn(x, y, z)
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != z.shape:
+            v = np.broadcast_to(v, z.shape)
+        vals = v.tolist()
+        for k, vk in enumerate(vals):
+            if vk != vk:  # NaN has no sign, so no budget can be read from it
+                raise ValueError(f"value is NaN at z={z[k]:.6g}")
+        return vals
+
+    n = len(y) if rows else 1
+    # linspace sets both ends exactly, so the sweep also gives V(z_min), V(z_max)
+    sweep = np.linspace(z_min, z_max, scan_points) if scan_points > 1 else [z_min, z_max]
+    v_sweep = np.reshape(values_at(range(n), len(sweep), np.tile(sweep, n)), (n, -1))
+    violations = [0] * n
+    if scan_points > 1:
+        signs = v_sweep <= 0.0
+        violations = np.sum(signs[:, :-1] & ~signs[:, 1:], axis=1).tolist()
+    out: list = [None] * n
+    lo, hi = float(z_min), float(z_max)
+    max_iter = int(np.ceil(np.log2(max(1.0, (hi - lo) / tol)))) + 5
+    brackets = {}  # unfinished state -> [lo, hi, v(hi), iterations]
+    for i, (v_lo, v_hi) in enumerate(v_sweep[:, [0, -1]].tolist()):
+        if violations[i]:
+            warnings.warn(
+                f"value sign regressed {violations[i]} time(s) along the z sweep",
+                NonMonotoneWarning,
+                stacklevel=3,
+            )
+        if v_hi > 0.0:
+            out[i] = Infeasible(f"value {v_hi:.4g} still positive at z_max={z_max:.4g}")
+        elif v_lo <= 0.0:
+            out[i] = ZStarSolution(lo, v_lo, (lo, lo), 0, violations[i])
+        else:
+            brackets[i] = [lo, hi, v_hi, 0]
+    active = [i for i in brackets if hi - lo > tol]
+    while active:
+        trees = [_tree_midpoints(*brackets[i][:2]) for i in active]
+        v = values_at(active, _TREE_NODES, [m for mids in trees for m in mids])
+        still = []
+        for j, (i, mids) in enumerate(zip(active, trees)):
+            a, b, v_b, it = brackets[i]
+            base, k = j * _TREE_NODES, 0
+            # the walk down takes the midpoints one-at-a-time bisection would
+            while k < _TREE_NODES and b - a > tol and it < max_iter:
+                if v[base + k] <= 0.0:
+                    b, v_b = mids[k], v[base + k]
+                    k = 2 * k + 1
+                else:
+                    a = mids[k]
+                    k = 2 * k + 2
+                it += 1
+            brackets[i] = [a, b, v_b, it]
+            if b - a > tol and it < max_iter:
+                still.append(i)
+        active = still
+    for i, (a, b, v_b, it) in brackets.items():
+        out[i] = ZStarSolution(b, v_b, (a, b), it, violations[i])
+    return out
+
+
 def bisect_z_star(
     value_fn,
     x: np.ndarray,
@@ -654,63 +769,33 @@ def bisect_z_star(
 ) -> ZStarSolution:
     """Smallest budget (within tol) whose value is nonpositive.
 
-    value_fn(x, y, z) -> real must be nonincreasing in z for bisection
-    to be exact; learned values may wobble, so scan_points > 0 adds a
-    coarse sweep that counts feasible-to-infeasible sign regressions
-    and reports them (and warns) instead of hiding them.
+    value_fn(x, y, z) is called positionally with the state x and flag
+    y exactly as given here and a 1-D float64 array of budgets z; its
+    result must broadcast to z's shape. It must be nonincreasing in z
+    for bisection to be exact; learned values may wobble, so
+    scan_points > 1 adds a coarse sweep that counts feasible-to-
+    infeasible sign regressions and reports them (and warns) instead of
+    hiding them.
+
+    The first call asks for (z_min, z_max), or for the whole sweep,
+    whose ends stand in for them. Each further call asks for every
+    midpoint of the next _TREE_LEVELS levels of the bisection tree, and
+    the walk down it takes the midpoints one-at-a-time bisection would
+    (v <= 0 moves hi to the midpoint, otherwise lo; stop once
+    hi - lo <= tol or after max_iter midpoints), so the result is the
+    same. v_at_zstar is the value already computed at hi.
 
     Raises:
         Infeasible: value at z_max is still positive.
-        ValueError: the value is NaN at a queried budget; NaN has no
+        ValueError: tol, z_min or z_max is not finite, tol <= 0 or
+            z_max < z_min; or the value is NaN at any asked budget,
+            including midpoints the walk does not take. NaN has no
             sign, so no budget can be read from it.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if z_max < z_min:
-        raise ValueError("need z_min <= z_max")
-
-    def value_at(z):
-        v = value_fn(x, y, z)
-        if math.isnan(v):
-            raise ValueError(f"value is NaN at z={float(z):.6g}")
-        return v
-
-    violations = 0
-    if scan_points > 1:
-        zs = np.linspace(z_min, z_max, scan_points)
-        signs = np.array([value_at(z) <= 0.0 for z in zs])
-        violations = int(np.sum(signs[:-1] & ~signs[1:]))
-        if violations:
-            warnings.warn(
-                f"value sign regressed {violations} time(s) along the z sweep",
-                NonMonotoneWarning,
-                stacklevel=2,
-            )
-    v_hi = value_at(z_max)
-    if v_hi > 0.0:
-        raise Infeasible(f"value {v_hi:.4g} still positive at z_max={z_max:.4g}")
-    v_lo = value_at(z_min)
-    if v_lo <= 0.0:
-        return ZStarSolution(
-            z_star=float(z_min), v_at_zstar=float(v_lo),
-            bracket=(float(z_min), float(z_min)), iterations=0,
-            monotone_violations=violations,
-        )
-    lo, hi = float(z_min), float(z_max)
-    iterations = 0
-    max_iter = int(np.ceil(np.log2(max(1.0, (hi - lo) / tol)))) + 5
-    while hi - lo > tol and iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        if value_at(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    return ZStarSolution(
-        z_star=hi, v_at_zstar=float(value_at(hi)),
-        bracket=(lo, hi), iterations=iterations,
-        monotone_violations=violations,
-    )
+    (sol,) = _bisect(value_fn, x, y, False, z_min, z_max, tol, scan_points)
+    if isinstance(sol, Infeasible):
+        raise sol
+    return sol
 
 
 @dataclass
@@ -749,30 +834,24 @@ def fit_z_regressor(
 ) -> ZRegressor:
     """Regress bisection labels over sampled initial states.
 
-    Infeasible states are dropped (and counted); more than half of them
-    infeasible raises, since the map would mostly extrapolate.
+    All samples are bisected together: value_fn(x, y, z) is called with
+    rows x, y aligned with the budgets z (see bisect_z_star for the
+    rest of the contract). Infeasible states are dropped (and counted);
+    more than half of them infeasible raises, since the map would
+    mostly extrapolate.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     xs = np.atleast_2d(problem.sample_initial(rng, n_samples))
     ys = shifted_indicator(problem.in_avoid(xs))
-    labels, keep = [], []
-    n_out = 0
-    for i in range(n_samples):
-        try:
-            sol = bisect_z_star(
-                value_fn, xs[i], float(ys[i]), meta["z_min"], meta["z_max"], tol
-            )
-        except Infeasible:
-            n_out += 1
-            continue
-        labels.append(sol.z_star)
-        keep.append(i)
+    sols = _bisect(value_fn, xs, ys, True, meta["z_min"], meta["z_max"], tol, 0)
+    keep = [i for i, sol in enumerate(sols) if isinstance(sol, ZStarSolution)]
+    n_out = n_samples - len(keep)
     if n_out > 0.5 * n_samples:
         raise RuntimeError(
             f"{n_out}/{n_samples} sampled states infeasible; refusing to fit"
         )
     xs, ys = xs[keep], ys[keep]
-    z_lab = np.asarray(labels)
+    z_lab = np.asarray([sols[i].z_star for i in keep])
     z_min, z_max = meta["z_min"], meta["z_max"]
     targets = (z_lab - z_min) / (z_max - z_min)
 

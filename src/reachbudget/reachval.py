@@ -271,10 +271,14 @@ class TabularValueTable:
     def residual(self) -> float:
         return float(self.residuals[-1]) if len(self.residuals) else 0.0
 
-    def value_at(self, state: int, y_flag: float, z: float) -> float:
+    def value_at(self, state: int, y_flag: float, z) -> np.ndarray:
+        """Values of one state at budgets z, each snapped down to the grid.
+
+        One lookup for the whole vector; this is the one-state case of
+        rcppo.bisect_z_star's value-function contract.
+        """
         yi = 0 if y_flag < 0 else 1
-        zi = int(snap_z_index(self.z_grid, z))
-        return float(self.values[state, yi, zi])
+        return self.values[state, yi, snap_z_index(self.z_grid, z)]
 
 
 def apply_backup_sweep(

@@ -112,6 +112,46 @@ def naive_gae(ghat, values, tail, gamma, lam, mode):
     return np.asarray(out)
 
 
+def sequential_bisection(value, z_min, z_max, tol, scan_points=0):
+    """Smallest budget with value(z) <= 0, asking value for one budget at a time.
+
+    value is a scalar function of the budget. A sweep of scan_points > 1
+    evenly spaced budgets counts the feasible-to-infeasible sign changes
+    along it. The bracket [lo, hi] starts at [z_min, z_max] and halves at
+    mid = 0.5 * (lo + hi): hi moves to mid where value(mid) <= 0, lo
+    otherwise, until hi - lo <= tol or after
+    ceil(log2(max(1, (z_max - z_min) / tol))) + 5 midpoints.
+
+    Returns None when value(z_max) > 0, else a dict of z_star, bracket,
+    iterations and monotone_violations.
+    """
+    violations = 0
+    if scan_points > 1:
+        feasible = [value(z) <= 0.0 for z in np.linspace(z_min, z_max, scan_points)]
+        violations = sum(a and not b for a, b in zip(feasible, feasible[1:]))
+    if value(z_max) > 0.0:
+        return None
+    lo, hi = float(z_min), float(z_max)
+    iterations = 0
+    if value(z_min) <= 0.0:
+        hi = lo
+    else:
+        max_iter = math.ceil(math.log2(max(1.0, (hi - lo) / tol))) + 5
+        while hi - lo > tol and iterations < max_iter:
+            mid = 0.5 * (lo + hi)
+            if value(mid) <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+            iterations += 1
+    return {
+        "z_star": hi,
+        "bracket": (lo, hi),
+        "iterations": iterations,
+        "monotone_violations": violations,
+    }
+
+
 def normal_logpdf(x, mean, std):
     return -0.5 * ((x - mean) / std) ** 2 - math.log(std) - 0.5 * math.log(2 * math.pi)
 

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import sequential_bisection
 from reachbudget import approx, rcppo
 from reachbudget.augment import AugmentedGoalParams
 from reachbudget.envkit import ControlNoiseWrapper, NoiseWrapperConfig
@@ -55,6 +59,45 @@ def test_value_fn_wrapper_rescales_by_big_c():
     obs = rcppo.build_obs(x, 1.0, 10.0, np.array(meta["obs_scale"]), -1.0, 100.0)
     want = float(approx.mlp_forward(net, obs)[0, 0]) * 987.0
     assert fn(x, 1.0, 10.0) == pytest.approx(want)
+
+
+def test_build_obs_matches_stacked_columns_for_rows_and_for_one_state_with_many_budgets():
+    scale = np.array([np.pi, 8.0])
+    xs = _rng(5).normal(size=(6, 2))
+    ys = np.array([-1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+    zs = np.array([-300.0, -1.0, 0.0, 37.5, 100.0, np.inf])
+    z_cols = np.clip((zs - -1.0) / 101.0, -1.0, 1.0)
+    want = np.concatenate([xs / scale, ys[:, None], z_cols[:, None]], axis=1)
+    assert np.array_equal(rcppo.build_obs(xs, ys, zs, scale, -1.0, 100.0), want)
+    one = rcppo.build_obs(xs[2], -1.0, zs, scale, -1.0, 100.0)
+    assert one.shape == (6, 4)
+    assert np.array_equal(one[:, :2], np.broadcast_to(xs[2] / scale, (6, 2)))
+    assert np.array_equal(one[:, 3], z_cols)
+
+
+def test_value_fn_wrapper_answers_a_budget_vector_like_per_budget_calls():
+    net = approx.mlp_init((4, 8, 1), _rng(2))
+    fn = rcppo.value_fn_from(net, _meta())
+    x = np.array([0.3, -0.2])
+    # past both ends of [z_min, z_max], and more budgets than one forward takes
+    z = np.linspace(-250.0, 300.0, 2 * rcppo._FORWARD_ROWS + 3)
+    for y in (-1.0, 1.0):
+        v = fn(x, y, z)
+        assert v.shape == z.shape
+        want = np.array([fn(x, y, zi)[0] for zi in z])
+        np.testing.assert_allclose(v, want, rtol=1e-12, atol=1e-12)
+
+
+def test_value_fn_wrapper_answers_rows_aligned_with_budgets():
+    net = approx.mlp_init((4, 8, 1), _rng(3))
+    fn = rcppo.value_fn_from(net, _meta())
+    xs = _rng(6).normal(size=(9, 2))
+    ys = np.where(np.arange(9) % 3 == 0, 1.0, -1.0)
+    z = np.linspace(-5.0, 120.0, 9)
+    v = fn(xs, ys, z)
+    assert v.shape == z.shape
+    want = np.array([fn(xs[i], ys[i], z[i])[0] for i in range(9)])
+    np.testing.assert_allclose(v, want, rtol=1e-12, atol=1e-12)
 
 
 # -- clipped surrogate loss ----------------------------------------------------------
@@ -375,8 +418,19 @@ def test_bisection_raises_on_a_nan_value_at_a_midpoint():
     # finite at both ends (infeasible at z_min, feasible at z_max), NaN
     # only at the first midpoint 299.5
     def value(x, y, z):
-        return math.nan if z == 299.5 else 100.0 - z
+        return np.where(z == 299.5, math.nan, 100.0 - z)
 
+    with pytest.raises(ValueError, match="NaN"):
+        rcppo.bisect_z_star(value, None, 1.0, -1.0, 600.0)
+
+
+def test_bisection_raises_on_a_nan_value_at_an_untaken_speculative_midpoint():
+    # the root 100 sends the walk below 299.5, to 149.25; the sibling
+    # 449.75 is asked for in the same call but never taken
+    def value(x, y, z):
+        return np.where(z == 449.75, math.nan, 100.0 - z)
+
+    assert sequential_bisection(lambda z: value(None, None, z), -1.0, 600.0, 1e-2) is not None
     with pytest.raises(ValueError, match="NaN"):
         rcppo.bisect_z_star(value, None, 1.0, -1.0, 600.0)
 
@@ -386,6 +440,152 @@ def test_bisection_validates_tolerance_and_bracket():
         rcppo.bisect_z_star(lambda x, y, z: -z, None, 1.0, 0.0, 10.0, tol=0.0)
     with pytest.raises(ValueError):
         rcppo.bisect_z_star(lambda x, y, z: -z, None, 1.0, 10.0, 0.0)
+
+
+@pytest.mark.parametrize("value, z_min, z_max, tol", [
+    # without the check, each of these returns a budget
+    pytest.param(lambda x, y, z: 100.0 - z, -1.0, 600.0, math.nan, id="nan-tol"),
+    pytest.param(lambda x, y, z: 100.0 - z, -1.0, 600.0, math.inf, id="infinite-tol"),
+    pytest.param(lambda x, y, z: -1.0, -math.inf, 600.0, 1e-2, id="infinite-z-min"),
+    pytest.param(lambda x, y, z: -1.0, math.nan, 600.0, 1e-2, id="nan-z-min"),
+    pytest.param(lambda x, y, z: -1.0, -1.0, math.inf, 1e-2, id="infinite-z-max"),
+    pytest.param(lambda x, y, z: -1.0, -1.0, math.nan, 1e-2, id="nan-z-max"),
+])
+def test_bisection_refuses_non_finite_tolerance_and_bounds(value, z_min, z_max, tol):
+    with pytest.raises(ValueError, match="finite"):
+        rcppo.bisect_z_star(value, None, 1.0, z_min, z_max, tol)
+
+
+def _step_at(c):
+    return lambda z: np.where(np.asarray(z) >= c, -1.0, 1.0)
+
+
+# (value of the budget, z_min, z_max, tol, scan_points); on [0, 10] the
+# first call of midpoints asks for 5, then 2.5 and 7.5, then 1.25, 3.75,
+# 6.25 and 8.75; 5.625 is on the first level of the second call
+BISECTION_CASES = [
+    pytest.param(lambda z: 5.3 - z, 0.0, 10.0, 1e-3, 0, id="linear"),
+    pytest.param(lambda z: 100.0 - z, -1.0, 600.0, 1e-2, 0, id="linear-bench-range"),
+    pytest.param(lambda z: 5.0 - z, 0.0, 10.0, 1e-3, 0, id="root-on-first-level-midpoint"),
+    pytest.param(lambda z: 7.5 - z, 0.0, 10.0, 1e-3, 0, id="root-on-second-level-midpoint"),
+    pytest.param(lambda z: 3.75 - z, 0.0, 10.0, 1e-3, 0, id="root-on-third-level-midpoint"),
+    pytest.param(lambda z: 5.625 - z, 0.0, 10.0, 1e-3, 0, id="root-on-the-next-call"),
+    pytest.param(_step_at(3.3), 0.0, 10.0, 1e-3, 0, id="step"),
+    pytest.param(_step_at(8.75), 0.0, 10.0, 1e-3, 0, id="step-on-a-midpoint"),
+    pytest.param(lambda z: 300.25 - 2.0 * z, -1.0, 600.0, 1e-2, 33, id="linear-with-scan"),
+    pytest.param(np.sin, 0.5, 11.0, 1e-4, 64, id="sin-wobble-with-scan"),
+    pytest.param(lambda z: -np.sin(z), 0.5, 11.0, 1e-4, 64, id="negated-sin-with-scan"),
+    pytest.param(lambda z: 6.0 - z, 0.0, 10.0, 6.0, 0, id="tol-stops-after-one-midpoint"),
+    pytest.param(lambda z: 6.0 - z, 0.0, 10.0, 3.0, 0, id="tol-stops-after-two-midpoints"),
+    pytest.param(lambda z: 6.3 - z, 0.0, 10.0, 0.1, 0, id="tol-stops-mid-call"),
+    pytest.param(lambda z: 6.3 - z, 0.0, 10.0, 20.0, 0, id="tol-wider-than-the-range"),
+    pytest.param(lambda z: 100.0 - z, -1.0, 600.0, 1e-15, 0, id="max-iter-stops-mid-call"),
+    pytest.param(lambda z: 300.3 - z, -1.0, 600.0, 1e-15, 33, id="max-iter-with-scan"),
+    pytest.param(lambda z: -1.0, 3.0, 3.0, 1e-3, 0, id="z-min-equals-z-max"),
+    pytest.param(lambda z: 1.0, 3.0, 3.0, 1e-3, 0, id="z-min-equals-z-max-infeasible"),
+    pytest.param(lambda z: -1.0 - z, 0.0, 10.0, 1e-3, 0, id="feasible-at-z-min"),
+    pytest.param(lambda z: -1.0 - z, 0.0, 10.0, 1e-3, 9, id="feasible-at-z-min-with-scan"),
+    pytest.param(lambda z: 11.0 - z, 0.0, 10.0, 1e-3, 0, id="infeasible"),
+    pytest.param(lambda z: 11.0 - z, 0.0, 10.0, 1e-3, 9, id="infeasible-with-scan"),
+]
+
+
+def _assert_bisection_matches_reference(value, z_min, z_max, tol, scan_points):
+    want = sequential_bisection(value, z_min, z_max, tol, scan_points)
+    args = (lambda x, y, z: value(z), None, 1.0, z_min, z_max, tol, scan_points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", rcppo.NonMonotoneWarning)
+        if want is None:
+            with pytest.raises(rcppo.Infeasible):
+                rcppo.bisect_z_star(*args)
+            return None
+        sol = rcppo.bisect_z_star(*args)
+    got = {
+        "z_star": sol.z_star,
+        "bracket": sol.bracket,
+        "iterations": sol.iterations,
+        "monotone_violations": sol.monotone_violations,
+    }
+    assert got == want
+    assert sol.v_at_zstar == float(value(sol.z_star))
+    return sol
+
+
+@pytest.mark.parametrize("value, z_min, z_max, tol, scan_points", BISECTION_CASES)
+def test_bisection_matches_the_sequential_reference(value, z_min, z_max, tol, scan_points):
+    _assert_bisection_matches_reference(value, z_min, z_max, tol, scan_points)
+
+
+def test_bisection_stops_at_max_iter_below_float_resolution():
+    sol = _assert_bisection_matches_reference(lambda z: 100.0 - z, -1.0, 600.0, 1e-15, 0)
+    assert sol.iterations == math.ceil(math.log2(601.0 / 1e-15)) + 5
+    assert sol.iterations % 3 != 0  # the stop falls inside a call
+    assert sol.bracket[1] - sol.bracket[0] > 1e-15
+
+
+def test_bisection_asks_for_three_levels_of_midpoints_per_call():
+    asked = []
+
+    def value(x, y, z):
+        asked.append(z.copy())
+        return 5.3 - z
+
+    sol = rcppo.bisect_z_star(value, None, 1.0, 0.0, 10.0, tol=1e-3)
+    assert [len(z) for z in asked] == [2] + [7] * math.ceil(sol.iterations / 3)
+    assert asked[0].tolist() == [0.0, 10.0]
+    assert asked[1].tolist() == [5.0, 2.5, 7.5, 1.25, 3.75, 6.25, 8.75]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    root=st.floats(-2.0, 12.0),
+    tol=st.floats(1e-12, 20.0),
+    step=st.booleans(),
+    scan_points=st.sampled_from([0, 2, 7]),
+)
+def test_bisection_matches_the_sequential_reference_on_random_roots(root, tol, step, scan_points):
+    value = _step_at(root) if step else (lambda z: root - z)
+    _assert_bisection_matches_reference(value, 0.0, 10.0, tol, scan_points)
+
+
+def _rooted_at_first_column(x, y, z):
+    # x is one state (1,) or rows (m, 1); the root sits at x[0] + 2 y
+    return np.asarray(x)[..., 0] + 2.0 * np.asarray(y) - z
+
+
+def _assert_many_states_match_per_state_calls(roots, flags, tol, scan_points):
+    xs = np.asarray(roots, dtype=np.float64)[:, None]
+    ys = np.asarray(flags, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", rcppo.NonMonotoneWarning)
+        many = rcppo._bisect(_rooted_at_first_column, xs, ys, True, 0.0, 10.0, tol, scan_points)
+        for x, y, got in zip(xs, ys, many):
+            try:
+                want = rcppo.bisect_z_star(
+                    _rooted_at_first_column, x, float(y), 0.0, 10.0, tol, scan_points
+                )
+            except rcppo.Infeasible as exc:
+                assert isinstance(got, rcppo.Infeasible)
+                assert str(got) == str(exc)
+            else:
+                assert got == want
+
+
+def test_many_states_match_per_state_calls_infeasible_ones_included():
+    roots = [5.3, -1.0, 11.0, 5.0, 3.75, 9.99, 0.0, 10.0, 10.5, 2.2]
+    flags = [-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0]
+    _assert_many_states_match_per_state_calls(roots, flags, 1e-3, 0)
+    _assert_many_states_match_per_state_calls(roots, flags, 0.1, 9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots=st.lists(st.floats(-2.0, 12.0), min_size=1, max_size=12),
+    tol=st.floats(1e-12, 20.0),
+    scan_points=st.sampled_from([0, 5]),
+)
+def test_many_states_match_per_state_calls_on_random_roots(roots, tol, scan_points):
+    _assert_many_states_match_per_state_calls(roots, [-1.0] * len(roots), tol, scan_points)
 
 
 # -- z* regression ---------------------------------------------------------------------
@@ -402,6 +602,21 @@ def test_regressor_learns_a_constant_budget_map(pendulum):
     # pendulum states are all safe, so query at the y seen during the fit
     preds = rcppo.regressor_predict(reg, pendulum.sample_initial(_rng(4), 32), -1.0)
     assert float(np.median(np.abs(preds - 40.0))) < 3e-2
+
+
+def test_regressor_bisects_all_samples_in_one_search(pendulum):
+    shapes = []
+
+    def value(x, y, z):
+        shapes.append((np.shape(x), np.shape(y), np.shape(z)))
+        return 40.0 - z
+
+    rcppo.fit_z_regressor(
+        value, pendulum, _meta(z_max=100.0), n_samples=16, tol=1e-2, seed=3, hidden=(4,), epochs=1
+    )
+    per_state = rcppo.bisect_z_star(lambda x, y, z: 40.0 - z, None, -1.0, -1.0, 100.0, 1e-2)
+    rounds = math.ceil(per_state.iterations / 3)
+    assert shapes == [((32, 2), (32,), (32,))] + [((112, 2), (112,), (112,))] * rounds
 
 
 def test_regressor_refuses_mostly_infeasible_value_functions(pendulum):

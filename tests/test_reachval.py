@@ -206,6 +206,17 @@ def test_exact_value_at_gamma_one_is_negative_leftover_budget(grid5):
     assert table.value_at(s, -1.0, 9.0) == pytest.approx(-1.0)
 
 
+def test_value_at_answers_a_budget_vector_like_per_budget_calls(grid5):
+    grid = make_z_grid(1.0, 40.0)
+    table = tabular_value_iteration(augment_tabular(grid5, grid, big_c=350.0), gamma=1.0)
+    zs = np.array([-3.0, 0.0, 1.0, 8.5, 9.0, 12.25, 40.0, 100.0])  # off, on and past the grid
+    for s in (0, 7, 24):
+        for y in (-1.0, 1.0):
+            got = table.value_at(s, y, zs)
+            assert got.shape == zs.shape
+            assert np.array_equal(got, [table.value_at(s, y, z) for z in zs])
+
+
 def test_more_budget_never_hurts(grid5):
     aug = augment_tabular(grid5, make_z_grid(1.0, 40.0), big_c=350.0)
     table = tabular_value_iteration(aug, gamma=0.99)
