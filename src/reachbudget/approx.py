@@ -5,6 +5,16 @@ by default. Gradients come from hand-written reverse mode; the
 finite_difference_check helper is the tool the test suite points at
 them.
 
+At 256x256 the temporaries of an elementwise step cost more than its
+arithmetic, so the forward pass adds the bias and applies tanh in place
+on the fresh matmul output, the backward pass scales delta in place and
+backpropagates through a one-column layer by broadcasting, and Adam
+works through two scratch arrays per parameter. The values are bitwise
+those of the plain expressions (tests/oracles.py keeps them). No
+function keeps state between calls, and each writes only the arrays it
+is given or creates, so two threads may train two different nets at
+once.
+
 Checkpoints are zip archives of .npy entries written with a pinned
 timestamp so identical parameters produce identical bytes.
 """
@@ -90,13 +100,16 @@ def mlp_forward(
         raise ValueError("non-finite network input")
     single = arr.ndim == 1
     h = arr[None, :] if single else arr
-    cache = [h]
-    n_layers = len(params.weights)
+    cache = [h] if return_cache else None
+    n_hidden = len(params.weights) - 1 if params.activation == "tanh" else 0
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if i < n_layers - 1 and params.activation == "tanh":
-            h = np.tanh(h)
-        cache.append(h)
+        # h @ w is a fresh array, so the bias and tanh go in place
+        h = h @ w
+        h += b
+        if i < n_hidden:
+            np.tanh(h, out=h)
+        if cache is not None:
+            cache.append(h)
     out = h[0] if single else h
     if return_cache:
         return out, cache
@@ -126,12 +139,17 @@ def mlp_backward(
     grads: list[np.ndarray] = [np.empty(0)] * (2 * n_layers)
     delta = up  # gradient at the current layer's pre-activation
     for i in range(n_layers - 1, -1, -1):
+        w = params.weights[i]
         grads[2 * i] = cache[i].T @ delta
         grads[2 * i + 1] = delta.sum(axis=0)
-        delta = delta @ params.weights[i].T
+        # a one-column layer backpropagates by broadcasting, not an
+        # outer-product matmul; either way delta is a fresh array
+        delta = delta * w[:, 0] if w.shape[1] == 1 else delta @ w.T
         if i > 0 and params.activation == "tanh":
             # cache[i] is the tanh output feeding layer i
-            delta = delta * (1.0 - cache[i] ** 2)
+            slope = np.square(cache[i])
+            np.subtract(1.0, slope, out=slope)
+            delta *= slope
     dx = delta[0] if single else delta
     return grads, dx
 
@@ -298,11 +316,23 @@ def adam_step(
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError("gradient shape mismatch")
+        # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps) in the same
+        # operation order, through two scratch arrays
+        step, denom = np.empty_like(p), np.empty_like(p)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=step)
+        m += step
         v *= b2
-        v += (1.0 - b2) * g**2
-        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        np.square(g, out=step)
+        step *= 1.0 - b2
+        v += step
+        np.divide(m, bias1, out=step)
+        step *= lr
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p -= step
     return params
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import approx
+from . import BLAS_THREAD_VARS, approx
 from .augment import shifted_indicator
 from .envkit.base import ReachAvoidProblem
 from .envkit.tabular import TabularMDP
@@ -311,7 +311,7 @@ def grid_search(
     else:
         import multiprocessing as mp
 
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in BLAS_THREAD_VARS:
             os.environ.setdefault(var, "1")
         ctx = mp.get_context("spawn")
         with ctx.Pool(n_workers) as pool:
@@ -352,17 +352,22 @@ def _policy_stats(mdp: TabularMDP, probs: np.ndarray) -> tuple[float, float, flo
     return reach, reward, cost
 
 
+_ENUM_ROWS = 64
+
+
 def _enumerate_best(mdp: TabularMDP, objective, step: float = 1e-3) -> tuple[np.ndarray, float]:
     """Exhaustive grid search over the two first-action probabilities.
 
     Among grid points within 1e-9 of the best score, the largest
     probabilities win, matching the analytic tie convention (ties
     resolve toward probability one). The objective gets p_a as a column
-    and p_b as a row, so per-state terms are computed once per axis and
-    broadcast into the full grid.
+    and p_b as a row and broadcasts them; it fills the score grid
+    _ENUM_ROWS rows at a time, so its temporaries stay a block in size.
     """
     grid = np.arange(0.0, 1.0 + step / 2, step)
-    scores = objective(grid[:, None], grid[None, :])
+    scores = np.empty((grid.size, grid.size))
+    for lo in range(0, grid.size, _ENUM_ROWS):
+        scores[lo : lo + _ENUM_ROWS] = objective(grid[lo : lo + _ENUM_ROWS, None], grid[None, :])
     best = float(np.max(scores))
     tied = scores >= best - 1e-9
     # lexicographically largest tied (i, j): last tied row, last tie in it

@@ -15,13 +15,15 @@ distilled into a small regressor for deployment.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import approx
+from . import BLAS_THREAD_VARS, approx
 from .augment import (
     AugmentedGoalParams,
     augmented_margin,
@@ -30,6 +32,12 @@ from .augment import (
 )
 from .envkit.base import ReachAvoidProblem, _as_batch
 from .reachval import _gae_arrays, discount_sign_bound
+
+
+# A phase-1 or baseline minibatch takes its policy and value steps on two
+# threads only when BLAS runs one thread per call: with more, the two
+# nets' matmuls oversubscribe the cores and run slower than in turn.
+TWO_THREAD_UPDATES = all(os.environ.get(v) == "1" for v in BLAS_THREAD_VARS)
 
 
 class Infeasible(RuntimeError):
@@ -448,34 +456,64 @@ def _ppo_update(
     cfg supplies epochs, minibatch_size and, with a policy, clip_eps.
     policy is None for a value-only update, or (params, adam,
     actions_raw, log_probs, advantages, entropy_coef); each minibatch
-    then takes a clipped-surrogate step before its value step. Returns
-    the last minibatch's losses and policy diagnostics as log columns;
-    a value-only update logs zero policy loss, entropy and KL.
+    then also takes a clipped-surrogate step. The two steps read the
+    same rows and write disjoint parameters and Adam states, so with
+    TWO_THREAD_UPDATES the value step runs on a worker thread while this
+    thread takes the policy step; both finish before the finite check,
+    and the results are bitwise those of running them one after the
+    other. Returns the last minibatch's losses and policy diagnostics as
+    log columns; a value-only update logs zero policy loss, entropy and
+    KL.
     """
     if policy is None:
         p_loss, stats = 0.0, {"entropy": 0.0, "kl_estimate": 0.0}
     else:
         p_loss, stats = math.nan, {}
         params, adam, actions_raw, log_probs, advantages, entropy_coef = policy
+
+    def policy_step(mb):
+        loss, grads, step_stats = ppo_policy_loss(
+            params, obs[mb], actions_raw[mb], log_probs[mb], advantages[mb],
+            cfg.clip_eps, entropy_coef,
+        )
+        approx.adam_step(adam, params.trainable(), grads)
+        return loss, step_stats
+
+    def value_step(mb):
+        loss, grads = value_loss(value_params, obs[mb], returns[mb], value_scale)
+        approx.adam_step(val_adam, value_params.trainable(), grads)
+        return loss
+
     v_loss = math.nan
     n_samples = obs.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n_samples)
-        for lo in range(0, n_samples, cfg.minibatch_size):
-            mb = order[lo : lo + cfg.minibatch_size]
-            if policy is not None:
-                p_loss, grads, stats = ppo_policy_loss(
-                    params, obs[mb], actions_raw[mb], log_probs[mb], advantages[mb],
-                    cfg.clip_eps, entropy_coef,
-                )
-                approx.adam_step(adam, params.trainable(), grads)
-            v_loss, v_grads = value_loss(value_params, obs[mb], returns[mb], value_scale)
-            approx.adam_step(val_adam, value_params.trainable(), v_grads)
-            if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
-                raise RuntimeError(
-                    f"non-finite loss at iteration {iteration} "
-                    f"(policy {p_loss}, value {v_loss})"
-                )
+    workers = contextlib.nullcontext()  # enters as None: both steps inline
+    if policy is not None and TWO_THREAD_UPDATES:
+        # imported on first use: it loads logging, which nothing else needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = ThreadPoolExecutor(max_workers=1)
+    with workers as pool:
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n_samples)
+            for lo in range(0, n_samples, cfg.minibatch_size):
+                mb = order[lo : lo + cfg.minibatch_size]
+                if pool is not None:
+                    value_job = pool.submit(value_step, mb)
+                    try:
+                        p_loss, stats = policy_step(mb)
+                    except BaseException:
+                        value_job.exception()  # the value step finishes first
+                        raise
+                    v_loss = value_job.result()
+                else:
+                    if policy is not None:
+                        p_loss, stats = policy_step(mb)
+                    v_loss = value_step(mb)
+                if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
+                    raise RuntimeError(
+                        f"non-finite loss at iteration {iteration} "
+                        f"(policy {p_loss}, value {v_loss})"
+                    )
     return {
         "policy_loss": p_loss,
         "value_loss": v_loss,

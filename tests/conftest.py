@@ -13,11 +13,17 @@ import hashlib
 import json
 import os
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads, as the package and the bench
+# pin it: training then takes its two-thread minibatch path, which the
+# goldens and the acceptance claims check.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from reachbudget import approx, baselines, rcppo
-from reachbudget.envkit import (
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from reachbudget import approx, baselines, rcppo  # noqa: E402
+from reachbudget.envkit import (  # noqa: E402
     two_start_bandit_make,
     grid_reachavoid_make,
     pendulum_make,

@@ -169,3 +169,46 @@ def testbed_reward(p_a, p_b):
 
 def testbed_cost(p_a, p_b):
     return 0.5 * (10 * p_a + 20 * (1 - p_a)) + 0.5 * 30 * p_b
+
+
+def mlp_reference(weights, biases, x, upstream, tanh=True):
+    """Output, parameter gradients (dW0, db0, dW1, ...) and input gradient
+    of sum(upstream * output) for a net given as weight and bias lists,
+    by textbook reverse mode with a fresh array for every operation."""
+    acts = [x]
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if tanh and i < len(weights) - 1:
+            h = np.tanh(h)
+        acts.append(h)
+    grads = [None] * (2 * len(weights))
+    delta = upstream
+    for i in reversed(range(len(weights))):
+        grads[2 * i] = acts[i].T @ delta
+        grads[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ weights[i].T
+        if tanh and i > 0:
+            delta = delta * (1.0 - acts[i] ** 2)
+    return h, grads, delta
+
+
+def adam_reference(p, g, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam update (step counts from 1); returns new (p, m, v)."""
+    m = m * b1 + (1.0 - b1) * g
+    v = v * b2 + (1.0 - b2) * g**2
+    p = p - lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+    return p, m, v
+
+
+def enumerate_best_whole_grid(objective, step=1e-3):
+    """Best (p_a, p_b) on the probability grid, scored in one call.
+
+    Ties within 1e-9 of the best go to the lexicographically largest
+    pair; argwhere lists indices in row-major order, so that is the
+    last one. Returns (pair, its score).
+    """
+    grid = np.arange(0.0, 1.0 + step / 2, step)
+    scores = objective(grid[:, None], grid[None, :])
+    i, j = np.argwhere(scores >= scores.max() - 1e-9)[-1]
+    return np.array([grid[i], grid[j]]), float(scores[i, j])

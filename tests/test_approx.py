@@ -1,9 +1,16 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import reachbudget
+
 from reachbudget import approx
 
-from oracles import normal_logpdf
+from oracles import adam_reference, mlp_reference, normal_logpdf
 
 
 def _rng(seed=0):
@@ -39,6 +46,50 @@ def test_identity_activation_collapses_to_an_affine_map():
     params = approx.mlp_init((2, 2), _rng(), activation="identity")
     x = np.array([[1.0, -2.0]])
     assert np.allclose(approx.mlp_forward(params, x), x @ params.weights[0])
+
+
+def test_forward_leaves_its_input_alone_and_caches_distinct_arrays():
+    rng = _rng(11)
+    params = approx.mlp_init((3, 8, 8, 2), rng)
+    x = rng.normal(size=(5, 3))
+    before = x.copy()
+    out, cache = approx.mlp_forward(params, x, return_cache=True)
+    again = approx.mlp_forward(params, x)
+    assert np.array_equal(x, before)
+    assert np.array_equal(out, again) and out is cache[-1]
+    assert len(cache) == 4
+    for i in range(len(cache)):
+        for j in range(i + 1, len(cache)):
+            assert not np.shares_memory(cache[i], cache[j])
+    upstream = rng.normal(size=(5, 2))
+    kept = [a.copy() for a in (upstream, *cache)]
+    approx.mlp_backward(params, x, upstream, cache=cache)
+    for a, b in zip((upstream, *cache), kept):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("sizes, activation, rows", [
+    ((3, 16, 16, 1), "tanh", 12),
+    ((3, 16, 16, 2), "tanh", 12),
+    ((4, 8, 1), "tanh", 1),
+    ((3, 5, 1), "identity", 7),
+    ((3, 5, 4), "identity", 7),
+])
+def test_forward_and_backward_equal_the_textbook_reference(sizes, activation, rows):
+    rng = _rng(12)
+    params = approx.mlp_init(sizes, rng, activation=activation)
+    params.biases = [rng.normal(size=b.shape) for b in params.biases]
+    x = rng.normal(size=(rows, sizes[0]))
+    upstream = rng.normal(size=(rows, sizes[-1]))
+    out, cache = approx.mlp_forward(params, x, return_cache=True)
+    grads, dx = approx.mlp_backward(params, x, upstream, cache=cache)
+    want_out, want_grads, want_dx = mlp_reference(
+        params.weights, params.biases, x, upstream, tanh=activation == "tanh"
+    )
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(dx, want_dx)
+    for g, w in zip(grads, want_grads):
+        assert np.array_equal(g, w)
 
 
 # -- gradients ---------------------------------------------------------------------
@@ -174,6 +225,20 @@ def test_first_adam_update_moves_by_roughly_the_learning_rate():
     assert np.allclose(params[0], -1e-2 * np.sign(grads[0]), atol=1e-6)
 
 
+def test_adam_steps_equal_the_textbook_update():
+    rng = _rng(9)
+    # parameters at the scale of one step, so the step's last bit shows
+    params = [1e-3 * rng.normal(size=(6, 4)), 1e-3 * rng.normal(size=4)]
+    state = approx.AdamState.for_params(params, base_lr=3e-3)
+    want = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
+    for step in range(1, 4):
+        grads = [rng.normal(size=p.shape) for p in params]
+        approx.adam_step(state, params, grads)
+        want = [adam_reference(p, g, m, v, step, 3e-3) for (p, m, v), g in zip(want, grads)]
+        for p, m, v, (wp, wm, wv) in zip(params, state.m, state.v, want):
+            assert np.array_equal(p, wp) and np.array_equal(m, wm) and np.array_equal(v, wv)
+
+
 def test_lr_schedule_reaches_zero_on_the_final_step():
     params = [np.zeros(2)]
     state = approx.AdamState.for_params(params, base_lr=1.0, total_updates=4)
@@ -233,3 +298,45 @@ def test_array_codec_rejects_mismatched_layer_shapes():
     arrays["net_w1"] = np.zeros((9, 9))
     with pytest.raises(ValueError):
         approx.mlp_from_arrays("net", arrays)
+
+
+# -- memory ------------------------------------------------------------------------
+
+_CHURN = """
+import resource
+import reachbudget
+import numpy as np
+
+keep = [np.ones(65536) for _ in range(KEEP_BLOCKS)]  # 512 KB each, kept
+
+def churn():
+    for _ in range(50):
+        blocks = [np.ones(65536) for _ in range(8)]
+        del blocks
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings go through glibc")
+@pytest.mark.parametrize("keep_blocks, user_pad", [(0, None), (40, None), (0, "0")])
+def test_freed_network_sized_blocks_are_reused_without_page_faults(keep_blocks, user_pad):
+    # 40 kept blocks (20 MB) outgrow the 16 MB top pad: the churn then
+    # stays fault-free only because large arrays still come from the heap
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    if user_pad is not None:
+        env["MALLOC_TOP_PAD_"] = user_pad
+    src = os.path.dirname(os.path.dirname(reachbudget.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = _CHURN.replace("KEEP_BLOCKS", str(keep_blocks))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    faults = int(out.stdout)
+    if user_pad is None:
+        assert faults <= 1000
+    else:
+        # the user's own setting is kept: 400 blocks of 128 pages fault back in
+        assert faults > 400 * 64

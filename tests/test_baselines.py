@@ -7,6 +7,7 @@ from reachbudget import baselines, envkit
 from reachbudget.baselines import BaselineConfig, LagrangianRewardConfig
 
 from oracles import (
+    enumerate_best_whole_grid,
     testbed_cost as closed_form_cost,
     testbed_reach as closed_form_reach,
     testbed_reward as closed_form_reward,
@@ -349,6 +350,34 @@ def test_thresholding_never_selects_the_min_cost_reaching_policy(testbed):
         assert out["expected_reward"] == pytest.approx(expect, abs=1e-9)
         if x_thres >= 20.0:
             assert out["expected_reward"] > 15.0
+
+
+# 70 solves: the exact tie weights above, a weight sweep and a cost-cap sweep
+SOLVER_CASES = (
+    [("reach_min_cost", None)]
+    + [("scalarized", w) for w in [0.25, 0.5, 2 / 3, 0.9, 1.0, 1.5, 2.0]]
+    + [("scalarized", float(w)) for w in np.linspace(0.05, 1.95, 27)]
+    + [("thresholded", 20.0)]
+    + [("thresholded", float(c)) for c in np.linspace(5.0, 30.0, 34)]
+)
+
+
+def test_row_blocked_enumeration_matches_the_whole_grid(monkeypatch, testbed):
+    real = baselines._enumerate_best
+    pairs = []
+
+    def both(mdp, objective, step=1e-3):
+        got = real(mdp, objective, step)
+        pairs.append((got, enumerate_best_whole_grid(objective, step)))
+        return got
+
+    monkeypatch.setattr(baselines, "_enumerate_best", both)
+    for mode, parameter in SOLVER_CASES:
+        baselines.two_start_bandit_solvers(testbed, mode, parameter)
+    assert len(pairs) == len(SOLVER_CASES) == 70
+    for (probs, score), (want_probs, want_score) in pairs:
+        assert probs.tolist() == want_probs.tolist()
+        assert score == want_score
 
 
 def test_solver_validates_modes_and_parameters(testbed):

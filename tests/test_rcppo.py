@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sequential_bisection
-from reachbudget import approx, rcppo
+import reachbudget
+from reachbudget import approx, baselines, rcppo
 from reachbudget.augment import AugmentedGoalParams
 from reachbudget.envkit import ControlNoiseWrapper, NoiseWrapperConfig
 
@@ -376,6 +382,137 @@ def test_phase2_gamma_override_is_respected(pendulum):
         rcppo.Phase2Config(total_steps=0, gamma=0.5),
     )
     assert meta2["phase2_gamma"] == 0.5
+
+
+# -- minibatch updates on one thread or two ------------------------------------------
+
+
+def _update_inputs(seed, n=50):
+    """A tiny policy and value with one update's rows and fresh Adam states."""
+    rng = _rng(seed)
+    policy = _small_policy(3, rng)
+    value = approx.mlp_init((3, 16, 16, 1), rng)
+    obs = rng.normal(size=(n, 3))
+    _, raw, logp = approx.policy_sample(policy, obs, rng)
+    old_logp = logp + rng.normal(scale=0.1, size=n)
+    adv = rng.normal(size=n)
+    ret = rng.normal(scale=50.0, size=n)
+    pol_adam = approx.AdamState.for_params(policy.trainable(), 1e-3)
+    val_adam = approx.AdamState.for_params(value.trainable(), 1e-3)
+    return policy, value, pol_adam, val_adam, obs, raw, old_logp, adv, ret
+
+
+def _run_update(cfg, inputs, iteration=4):
+    policy, value, pol_adam, val_adam, obs, raw, old_logp, adv, ret = inputs
+    rng = _rng(99)
+    losses = rcppo._ppo_update(
+        cfg, rng, iteration, obs, ret, value, val_adam, 40.0,
+        policy=(policy, pol_adam, raw, old_logp, adv, 0.01),
+    )
+    state = [*policy.trainable(), *value.trainable()]
+    for adam in (pol_adam, val_adam):
+        state += [*adam.m, *adam.v, np.array([adam.step])]
+    return losses, state, rng.random()
+
+
+@pytest.mark.parametrize("cfg", [
+    rcppo.Phase1Config(epochs=3, minibatch_size=16),
+    baselines.BaselineConfig(epochs=3, minibatch_size=16),
+])
+def test_two_thread_updates_match_one_thread_bitwise(monkeypatch, cfg):
+    # 50 rows in minibatches of 16 leave a short last minibatch of 2
+    runs = []
+    for two_threads in (False, True):
+        monkeypatch.setattr(rcppo, "TWO_THREAD_UPDATES", two_threads)
+        runs.append(_run_update(cfg, _update_inputs(31)))
+    (losses1, state1, draw1), (losses2, state2, draw2) = runs
+    assert losses1 == losses2 and draw1 == draw2
+    assert len(state1) == len(state2)
+    for a, b in zip(state1, state2):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("train, make_cfg", [
+    (rcppo.train_phase1, rcppo.Phase1Config),
+    (baselines.train_ppo_baseline, baselines.BaselineConfig),
+], ids=["phase1", "baseline"])
+def test_two_thread_training_matches_one_thread_bitwise(monkeypatch, pendulum, train, make_cfg):
+    cfg = make_cfg(total_steps=600, n_envs=2, epochs=2, minibatch_size=48, hidden=(8, 8), seed=5)
+    runs = []
+    for two_threads in (False, True):
+        monkeypatch.setattr(rcppo, "TWO_THREAD_UPDATES", two_threads)
+        runs.append(train(pendulum, cfg))
+    one, two = runs
+    assert one.log_rows and one.log_rows == two.log_rows
+    for a, b in zip(
+        [*one.policy.trainable(), *one.value.trainable()],
+        [*two.policy.trainable(), *two.value.trainable()],
+    ):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_an_aborted_policy_step_raises_after_the_value_step_finishes(monkeypatch):
+    monkeypatch.setattr(rcppo, "TWO_THREAD_UPDATES", True)
+    real_value_loss = rcppo.value_loss
+    finished = []
+
+    def slow_value_loss(*args):
+        time.sleep(0.2)  # the policy step aborts well before this returns
+        out = real_value_loss(*args)
+        finished.append(threading.get_ident())
+        return out
+
+    monkeypatch.setattr(rcppo, "value_loss", slow_value_loss)
+    inputs = _update_inputs(32)
+    _, _, pol_adam, val_adam, _, _, old_logp, _, _ = inputs
+    old_logp[:5] = -np.inf  # 5 of 50 ratios overflow: the policy step aborts
+    threads_before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="non-finite importance ratios"):
+        _run_update(rcppo.Phase1Config(epochs=1, minibatch_size=64), inputs)
+    assert finished and finished[0] != threading.get_ident()
+    assert val_adam.step == 1  # its Adam step ran too
+    assert pol_adam.step == 0
+    assert set(threading.enumerate()) == threads_before
+
+
+@pytest.mark.parametrize("two_threads", [False, True])
+def test_a_non_finite_value_loss_raises_the_shared_message(monkeypatch, two_threads):
+    monkeypatch.setattr(rcppo, "TWO_THREAD_UPDATES", two_threads)
+    inputs = _update_inputs(33)
+    returns = inputs[-1]
+    returns[3] = np.nan
+    with pytest.raises(RuntimeError, match=r"non-finite loss at iteration 7 \(policy -?\d.*, value nan\)"):
+        _run_update(rcppo.Phase1Config(epochs=1, minibatch_size=64), inputs, iteration=7)
+
+
+def _fresh_python(code, **env):
+    """Output of code in a new interpreter that sees this package."""
+    base = {k: v for k, v in os.environ.items() if k not in reachbudget.BLAS_THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(reachbudget.__file__))
+    base["PYTHONPATH"] = os.pathsep.join([src, base.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**base, **env},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("prelude, want", [
+    ("", ["True", "1", "1", "1"]),
+    ("import numpy\n", ["False", "-", "-", "-"]),
+])
+def test_importing_the_package_before_numpy_pins_blas_to_one_thread(prelude, want):
+    code = prelude + (
+        "import os\n"
+        "from reachbudget import BLAS_THREAD_VARS, rcppo\n"
+        "print(rcppo.TWO_THREAD_UPDATES, *(os.environ.get(v, '-') for v in BLAS_THREAD_VARS))\n"
+    )
+    assert _fresh_python(code) == want
+
+
+def test_a_blas_thread_count_set_by_the_user_is_kept_and_keeps_updates_inline():
+    code = "import os\nfrom reachbudget import rcppo\nprint(rcppo.TWO_THREAD_UPDATES, os.environ['OMP_NUM_THREADS'])\n"
+    assert _fresh_python(code, OMP_NUM_THREADS="2") == ["False", "2"]
 
 
 # -- bisection -------------------------------------------------------------------------
