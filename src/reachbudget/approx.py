@@ -267,39 +267,25 @@ def policy_logp_backward(
 
 @dataclass
 class AdamState:
-    """Adam accumulators plus a linear learning-rate decay schedule.
-
-    The effective rate at update t (0-based) is
-    base_lr * (1 - t / total_updates), floored at 0; pass
-    total_updates=None for a constant rate.
-    """
+    """Adam accumulators and the learning rate; trainers that decay the
+    rate set base_lr before each iteration."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int
     base_lr: float
-    total_updates: int | None = None
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def for_params(
-        cls, params: list[np.ndarray], base_lr: float, total_updates: int | None = None
-    ) -> "AdamState":
+    def for_params(cls, params: list[np.ndarray], base_lr: float) -> "AdamState":
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             step=0,
             base_lr=base_lr,
-            total_updates=total_updates,
         )
-
-    def effective_lr(self) -> float:
-        if self.total_updates is None:
-            return self.base_lr
-        frac = min(1.0, self.step / self.total_updates)
-        return self.base_lr * (1.0 - frac)
 
 
 def adam_step(
@@ -308,7 +294,7 @@ def adam_step(
     """One update, in place on params; returns params for chaining."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("params/grads length mismatch with optimizer state")
-    lr = state.effective_lr()
+    lr = state.base_lr
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.step

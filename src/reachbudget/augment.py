@@ -12,6 +12,9 @@ The augmented goal margin
 is nonpositive exactly when the raw state is in the goal set, the
 flag never latched, and the budget has not gone negative. That single
 scalar is what the value machinery backs up.
+
+start_flag, augmented_step and augmented_goal define the augmented
+problem for every trainer, deployment and check in the package.
 """
 
 from __future__ import annotations
@@ -21,19 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envkit.base import ReachAvoidProblem
-
-
-@dataclass
-class AugmentedState:
-    """Augmented state (x, y, z); components may be batched.
-
-    x has shape (d,) or (n, d); y and z are scalars or (n,) arrays and
-    always hold y in {-1, +1} and the remaining budget.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
 
 
 @dataclass
@@ -84,52 +74,27 @@ def estimate_big_c(
     return float(max(1.0, g.max()))
 
 
-def augmented_reset(problem: ReachAvoidProblem, x0: np.ndarray, z0) -> AugmentedState:
-    z0 = np.asarray(z0, dtype=np.float64)
-    if not np.all(np.isfinite(z0)):
-        raise ValueError("initial budget z0 must be finite")
-    return AugmentedState(
-        x=np.asarray(x0, dtype=np.float64),
-        y=shifted_indicator(problem.in_avoid(x0)),
-        z=z0,
-    )
+def start_flag(problem: ReachAvoidProblem, x) -> np.ndarray:
+    """The flag of a trajectory that starts at x: +1 inside the avoid set."""
+    return shifted_indicator(problem.in_avoid(x))
 
 
-def augmented_step_with_cost(
-    problem: ReachAvoidProblem, s: AugmentedState, u: np.ndarray
-) -> tuple[AugmentedState, np.ndarray]:
-    """Advance the augmented dynamics one step, returning the cost paid.
+def augmented_step(problem: ReachAvoidProblem, x, y, z, u):
+    """Advance the augmented dynamics one step; returns (x', y', z', cost).
 
-    The successor flag latches on the arrival state: y' is +1 if the
-    new raw state is in the avoid set or the flag was already up.
-    Draws any control noise exactly once via step_and_cost.
+    The flag latches on the arrival state: y' is +1 if x' is in the
+    avoid set or y already was. The budget pays the step's cost. Any
+    control noise is drawn exactly once, in step_and_cost.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if not (np.all(np.isfinite(s.x)) and np.all(np.isfinite(u))):
-        raise ValueError("non-finite state or action")
-    x_next, c = problem.step_and_cost(s.x, u)
-    y_next = np.maximum(shifted_indicator(problem.in_avoid(x_next)), s.y)
-    return AugmentedState(x=x_next, y=y_next, z=s.z - c), c
+    x_next, c = problem.step_and_cost(x, u)
+    x_next = np.asarray(x_next, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    return x_next, np.maximum(start_flag(problem, x_next), y), z - c, c
 
 
-def augmented_step(
-    problem: ReachAvoidProblem, s: AugmentedState, u: np.ndarray
-) -> AugmentedState:
-    s_next, _ = augmented_step_with_cost(problem, s, u)
-    return s_next
-
-
-def augmented_goal(
-    problem: ReachAvoidProblem, s: AugmentedState, params: AugmentedGoalParams
-) -> np.ndarray:
-    g = np.asarray(problem.goal_margin(s.x), dtype=np.float64)
-    return augmented_margin(g, s.y, s.z, params.big_c)
-
-
-def in_augmented_goal(
-    problem: ReachAvoidProblem, s: AugmentedState, params: AugmentedGoalParams
-) -> np.ndarray:
-    return augmented_goal(problem, s, params) <= 0.0
+def augmented_goal(problem: ReachAvoidProblem, x, y, z, params: AugmentedGoalParams):
+    """ghat(x, y, z); nonpositive exactly inside the augmented goal."""
+    return augmented_margin(problem.goal_margin(x), y, z, params.big_c)
 
 
 def budget_equivalence_sides(
@@ -168,6 +133,5 @@ def budget_equivalence_sides(
     y = shifted_indicator(np.maximum.accumulate(in_f))
 
     lhs = in_g & ~np.maximum.accumulate(in_f) & (z0 >= cum)
-    g = np.asarray(problem.goal_margin(states), dtype=np.float64)
-    rhs = augmented_margin(g, y, z, params.big_c) <= 0.0
+    rhs = augmented_goal(problem, states, y, z, params) <= 0.0
     return lhs, rhs

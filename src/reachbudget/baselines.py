@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import BLAS_THREAD_VARS, approx
-from .augment import shifted_indicator
+from .augment import start_flag
 from .envkit.base import ReachAvoidProblem
 from .envkit.tabular import TabularMDP
 from .rcppo import TrainResult, _log_row, _ppo_update, _run_lanes
@@ -176,7 +176,7 @@ def train_ppo_baseline(problem: ReachAvoidProblem, cfg: BaselineConfig) -> Train
 
         x0 = np.atleast_2d(problem.sample_initial(rng, cfg.n_envs))
         run = _run_lanes(
-            problem, x0, shifted_indicator(problem.in_avoid(x0)),
+            problem, x0, start_flag(problem, x0),
             np.full(cfg.n_envs, np.inf), act, lambda x, y, z: problem.in_goal(x),
         )
         env_steps += len(run.costs)
@@ -494,24 +494,3 @@ def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None
         },
     }
 
-
-def simulate_two_start_bandit(
-    mdp: TabularMDP, p_a: float, p_b: float, n_episodes: int = 10_000, seed: int = 0
-) -> dict:
-    """Monte Carlo estimates of reach, reward, and cost for (p_a, p_b)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    probs = {s: p for s, p in zip(mdp.initial_states, (p_a, p_b))}
-    starts = rng.choice(mdp.initial_states, size=n_episodes, p=mdp.initial_probs)
-    draws = rng.uniform(size=n_episodes)
-    reach = reward = cost = 0.0
-    for s, d in zip(starts, draws):
-        a = 0 if d < probs[s] else 1
-        nxt = mdp.next_state[s, a]
-        reach += float(mdp.goal_mask[nxt])
-        reward += float(mdp.reward[s, a])
-        cost += float(mdp.cost[s, a])
-    return {
-        "reach_prob": reach / n_episodes,
-        "expected_reward": reward / n_episodes,
-        "expected_cost": cost / n_episodes,
-    }

@@ -139,7 +139,7 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _z_source_from_options(cfg, z, zmap, value, tol):
+def _z_source_from_options(cfg, z, zmap, value, tol, force):
     """Mutually exclusive budget sources for deploy/evaluate."""
     given = [opt for opt in (z, zmap, value) if opt is not None]
     if len(given) > 1:
@@ -150,6 +150,7 @@ def _z_source_from_options(cfg, z, zmap, value, tol):
         return _load_regressor(zmap)
     if value is not None:
         val_params, vmeta = _load_value(value)
+        _check_hash(vmeta, cfg, force, "value checkpoint")
         fn = rcppo.value_fn_from(val_params, vmeta)
         if tol is None:
             tol = cfg["eval"]["tol"]
@@ -298,7 +299,7 @@ def deploy(config_path, policy_path, state, z, zmap, value, tol, out_path, force
     policy, meta = _load_policy(policy_path)
     _check_hash(meta, cfg, force, "policy checkpoint")
     x0 = _parse_state(state, problem.state_dim)
-    z_source = _z_source_from_options(cfg, z, zmap, value, tol)
+    z_source = _z_source_from_options(cfg, z, zmap, value, tol, force)
     if z_source is None and meta.get("algorithm") == "rcppo":
         raise click.ClickException(
             "budget-conditioned policy needs a budget: pass --z, --zmap, or --value"
@@ -333,7 +334,7 @@ def evaluate(config_path, policy_path, z, zmap, value, tol, episodes, seed, out_
     problem = build_problem(cfg)
     policy, meta = _load_policy(policy_path)
     _check_hash(meta, cfg, force, "policy checkpoint")
-    z_source = _z_source_from_options(cfg, z, zmap, value, tol)
+    z_source = _z_source_from_options(cfg, z, zmap, value, tol, force)
     if z_source is None and meta.get("algorithm") == "rcppo":
         raise click.ClickException(
             "budget-conditioned policy needs a budget: pass --z, --zmap, or --value"

@@ -1,4 +1,4 @@
-from .base import GoalAvoidMargins, ReachAvoidProblem
+from .base import ReachAvoidProblem
 from .noise import ControlNoiseWrapper, NoiseWrapperConfig, wrap_with_control_noise
 from .pendulum import PendulumSwingUp, pendulum_make
 from .tabular import (
@@ -11,7 +11,6 @@ from .tabular import (
 from .windfield import WindFieldLite, windfield_make
 
 __all__ = [
-    "GoalAvoidMargins",
     "ReachAvoidProblem",
     "ControlNoiseWrapper",
     "NoiseWrapperConfig",

@@ -12,17 +12,7 @@ noise) flows through explicitly passed generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class GoalAvoidMargins:
-    """Margin pair for one state: g_value <= 0 in G, h_value > 0 in F."""
-
-    g_value: float
-    h_value: float
 
 
 class ReachAvoidProblem:
@@ -118,15 +108,6 @@ class ReachAvoidProblem:
     def goal_distance(self, x: np.ndarray) -> np.ndarray:
         """Nonnegative distance-like quantity, zero at the goal center."""
         raise NotImplementedError
-
-    def margins(self, x: np.ndarray) -> GoalAvoidMargins:
-        return GoalAvoidMargins(
-            g_value=float(np.asarray(self.goal_margin(x))),
-            h_value=float(np.asarray(self.avoid_margin(x))),
-        )
-
-    def clip_action(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(u, self.action_low, self.action_high)
 
 
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:

@@ -26,9 +26,11 @@ import numpy as np
 from . import BLAS_THREAD_VARS, approx
 from .augment import (
     AugmentedGoalParams,
+    augmented_goal,
     augmented_margin,
+    augmented_step,
     estimate_big_c,
-    shifted_indicator,
+    start_flag,
 )
 from .envkit.base import ReachAvoidProblem, _as_batch
 from .reachval import _gae_arrays, discount_sign_bound
@@ -237,8 +239,7 @@ def _run_lanes(problem: ReachAvoidProblem, x0, y0, z0, act, done) -> _Lanes:
     (x0, y0, z0) are the n lanes' augmented starts. Each time step calls
     act(x, y, z) -> (u, records) once on the rows of the unfinished
     lanes, where records is a tuple of arrays with one row per lane, then
-    one step_and_cost; the flag latches on the arrival state and the
-    budget pays the cost. A lane ends when done(x, y, z) holds for its
+    one augmented_step. A lane ends when done(x, y, z) holds for its
     arrival state; one whose start already satisfies it never steps.
     """
     x = np.array(x0, dtype=np.float64)
@@ -254,11 +255,7 @@ def _run_lanes(problem: ReachAvoidProblem, x0, y0, z0, act, done) -> _Lanes:
         if idx.size == 0:
             break
         u, rec = act(x[idx], y[idx], z[idx])
-        x_next, c = problem.step_and_cost(x[idx], u)
-        x_next = np.asarray(x_next, dtype=np.float64)
-        c = np.asarray(c, dtype=np.float64)
-        y_next = np.maximum(shifted_indicator(problem.in_avoid(x_next)), y[idx])
-        z_next = z[idx] - c
+        x_next, y_next, z_next, c = augmented_step(problem, x[idx], y[idx], z[idx], u)
         x[idx], y[idx], z[idx] = x_next, y_next, z_next
         arrived = np.asarray(done(x_next, y_next, z_next), dtype=bool)
         reached[idx] = arrived
@@ -307,11 +304,8 @@ def collect_rollouts(
     big_c = goal_params.big_c
 
     x0 = np.atleast_2d(problem.sample_initial(rng, n))
-    y0 = shifted_indicator(problem.in_avoid(x0))
+    y0 = start_flag(problem, x0)
     z0 = rng.uniform(cfg.z_min, z_max, n)
-
-    def margin(x, y, z):
-        return augmented_margin(problem.goal_margin(x), y, z, big_c)
 
     def act(x, y, z):
         obs = build_obs(x, y, z, scale, cfg.z_min, z_max)
@@ -324,8 +318,11 @@ def collect_rollouts(
         vals = approx.mlp_forward(value_params, obs)[:, 0] * big_c
         return u, (obs, raw, logp, vals)
 
-    run = _run_lanes(problem, x0, y0, z0, act, lambda x, y, z: margin(x, y, z) <= 0.0)
-    ghat = margin(run.x, run.y, run.z)
+    run = _run_lanes(
+        problem, x0, y0, z0, act,
+        lambda x, y, z: augmented_goal(problem, x, y, z, goal_params) <= 0.0,
+    )
+    ghat = augmented_goal(problem, run.x, run.y, run.z, goal_params)
     visited = np.delete(ghat, run.last)
     obs, raw, logp, vals = run.records or [np.empty(0)] * 4
     episodes = []
@@ -377,9 +374,7 @@ def ppo_policy_loss(
     stats carries kl_estimate, clip_fraction, n_excluded.
     """
     mean_out, cache = approx.mlp_forward(policy.trunk, obs, return_cache=True)
-    std = np.exp(np.clip(policy.log_std, approx.LOG_STD_MIN, approx.LOG_STD_MAX))
-    zed = (actions_raw - mean_out) / std
-    logp_new = (-0.5 * zed**2 - np.log(std) - 0.5 * np.log(2 * np.pi)).sum(axis=1)
+    logp_new = approx.log_prob_at_mean(policy, mean_out, actions_raw)
 
     ratio = np.exp(logp_new - old_log_probs)
     finite = np.isfinite(ratio)
@@ -848,14 +843,15 @@ class ZRegressor:
     n_infeasible: int
 
 
-def regressor_predict(reg: ZRegressor, x: np.ndarray, y) -> np.ndarray:
+def _regressor_input(x: np.ndarray, y, obs_scale: np.ndarray) -> np.ndarray:
+    """Regressor input rows (x / scale, y); y is a scalar or one per row."""
     xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    inp = np.concatenate(
-        [xb / reg.obs_scale,
-         np.broadcast_to(np.asarray(y, dtype=np.float64), (xb.shape[0],))[:, None]],
-        axis=1,
-    )
-    z_norm = approx.mlp_forward(reg.net, inp)[:, 0]
+    y_col = np.broadcast_to(np.asarray(y, dtype=np.float64), (xb.shape[0],))[:, None]
+    return np.concatenate([xb / obs_scale, y_col], axis=1)
+
+
+def regressor_predict(reg: ZRegressor, x: np.ndarray, y) -> np.ndarray:
+    z_norm = approx.mlp_forward(reg.net, _regressor_input(x, y, reg.obs_scale))[:, 0]
     return np.clip(reg.z_min + z_norm * (reg.z_max - reg.z_min), reg.z_min, reg.z_max)
 
 
@@ -876,11 +872,15 @@ def fit_z_regressor(
     rows x, y aligned with the budgets z (see bisect_z_star for the
     rest of the contract). Infeasible states are dropped (and counted);
     more than half of them infeasible raises, since the map would
-    mostly extrapolate.
+    mostly extrapolate. One state is held out of every five, and at
+    least one, so fewer than 2 samples, or 2 feasible states, raise
+    ValueError before any bisection or training.
     """
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples to fit and hold out, got {n_samples}")
     rng = np.random.Generator(np.random.PCG64(seed))
     xs = np.atleast_2d(problem.sample_initial(rng, n_samples))
-    ys = shifted_indicator(problem.in_avoid(xs))
+    ys = start_flag(problem, xs)
     sols = _bisect(value_fn, xs, ys, True, meta["z_min"], meta["z_max"], tol, 0)
     keep = [i for i, sol in enumerate(sols) if isinstance(sol, ZStarSolution)]
     n_out = n_samples - len(keep)
@@ -888,13 +888,14 @@ def fit_z_regressor(
         raise RuntimeError(
             f"{n_out}/{n_samples} sampled states infeasible; refusing to fit"
         )
-    xs, ys = xs[keep], ys[keep]
+    if len(keep) < 2:
+        raise ValueError(f"need at least 2 feasible states to fit and hold out, got {len(keep)}")
     z_lab = np.asarray([sols[i].z_star for i in keep])
     z_min, z_max = meta["z_min"], meta["z_max"]
     targets = (z_lab - z_min) / (z_max - z_min)
 
     scale = np.asarray(meta["obs_scale"], dtype=np.float64)
-    inp = np.concatenate([xs / scale, ys[:, None]], axis=1)
+    inp = _regressor_input(xs[keep], ys[keep], scale)
     n_total = inp.shape[0]
     n_hold = max(1, n_total // 5)
     perm = rng.permutation(n_total)
@@ -903,10 +904,7 @@ def fit_z_regressor(
     net = approx.mlp_init((inp.shape[1], *hidden, 1), rng)
     adam = approx.AdamState.for_params(net.trainable(), lr)
     for _ in range(epochs):
-        out, cache = approx.mlp_forward(net, inp[fit], return_cache=True)
-        diff = out[:, 0] - targets[fit]
-        upstream = (2.0 * diff / diff.shape[0])[:, None]
-        grads, _ = approx.mlp_backward(net, inp[fit], upstream, cache=cache)
+        _, grads = value_loss(net, inp[fit], targets[fit], 1.0)
         approx.adam_step(adam, net.trainable(), grads)
 
     pred_hold = approx.mlp_forward(net, inp[hold])[:, 0]
@@ -992,7 +990,7 @@ def deploy_policy(
 
     starts, single = _as_batch(x0, problem.state_dim)
     n = starts.shape[0]
-    y0 = np.asarray(shifted_indicator(problem.in_avoid(starts)), dtype=np.float64)
+    y0 = start_flag(problem, starts)
     budgets = [_start_budget(z_source, starts[i], float(y0[i]), meta) for i in range(n)]
     z0 = np.array([b for b, _ in budgets], dtype=np.float64)
 

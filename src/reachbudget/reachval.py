@@ -27,82 +27,18 @@ from .augment import augmented_margin
 from .envkit.tabular import TabularMDP
 
 
-@dataclass
-class BackupConfig:
-    """Discount and averaging constants shared across the trainers."""
-
-    gamma: float = 0.99
-    lam: float = 0.95
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lam must be in (0, 1)")
-
-
-# -- single-step backups ----------------------------------------------------
-
-
-def rabe_backup(g_t, h_t, v_next):
-    """Reach-avoid backup max(h, min(g, V'))."""
-    return np.maximum(h_t, np.minimum(g_t, v_next))
-
-
-def rbe_backup(ghat_t, v_next):
-    """Undiscounted reach backup min(ghat, V')."""
-    return np.minimum(ghat_t, v_next)
+# -- the backup ---------------------------------------------------------------
 
 
 def discounted_backup(ghat_t, v_next, gamma: float):
+    """(1 - gamma) * ghat + gamma * min(ghat, V'), elementwise; gamma = 1
+    gives the undiscounted reach backup min(ghat, V')."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     return (1.0 - gamma) * np.asarray(ghat_t) + gamma * np.minimum(ghat_t, v_next)
 
 
-def q_backup(ghat_t, v_next, gamma: float):
-    """State-action variant of discounted_backup.
-
-    Same arithmetic; the caller supplies V at the successor reached by
-    a particular action instead of the on-policy successor.
-    """
-    return discounted_backup(ghat_t, v_next, gamma)
-
-
-def phi_reduce(values: np.ndarray, gamma: float) -> float:
-    """Right fold of the discounted backup over a value chain.
-
-    values = (x_1, ..., x_{n+1}) folds as phi1(x_1, phi1(x_2, ...)),
-    with phi1(a, b) = (1 - gamma) * a + gamma * min(a, b). The result
-    always lies between min(values) and max(values).
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1 or vals.shape[0] < 2:
-        raise ValueError("phi_reduce needs at least two values")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must be in (0, 1]")
-    acc = vals[-1]
-    for v in vals[-2::-1]:
-        acc = (1.0 - gamma) * v + gamma * min(v, acc)
-    return float(acc)
-
-
 # -- advantage estimation ----------------------------------------------------
-
-
-@dataclass
-class AdvantageRecord:
-    """Per-step advantage summary.
-
-    k_step_adv[k-1] holds the k-step advantage, i.e. the phi fold over
-    (ghat_t, ..., ghat_{t+k-1}, V_{t+k}) minus V_t; gae_adv is their
-    lambda-weighted combination and lambda_return = gae_adv + V_t is
-    the value-regression target.
-    """
-
-    k_step_adv: np.ndarray
-    gae_adv: float
-    lambda_return: float
 
 
 def _gae_arrays(
@@ -148,7 +84,7 @@ def _gae_arrays(
     lam_pow = 1.0
     for k in range(1, t_len + 1):
         n = t_len - k + 1
-        new = (1.0 - gamma) * ghat[:n] + gamma * np.minimum(ghat[:n], fold[1 : n + 1])
+        new = discounted_backup(ghat[:n], fold[1 : n + 1], gamma)
         fold[:n] = new
         weighted[:n] += lam_pow * (new - values[:n])
         lam_pow *= lam
@@ -158,36 +94,6 @@ def _gae_arrays(
     else:
         gae = weighted * lam / (1.0 - lam)
     return gae, gae + values
-
-
-def gae_advantages(
-    ghat: np.ndarray,
-    values: np.ndarray,
-    tail_value: float,
-    gamma: float,
-    lam: float,
-    mode: str = "renormalized",
-) -> list[AdvantageRecord]:
-    """Per-step AdvantageRecords for one complete episode.
-
-    See _gae_arrays for the estimator; this wrapper additionally
-    materializes every k-step advantage for inspection.
-    """
-    ghat = np.asarray(ghat, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    gae, lam_ret = _gae_arrays(ghat, values, tail_value, gamma, lam, mode)
-    t_len = ghat.shape[0]
-    v_ext = np.concatenate([values[1:], [tail_value]])
-    records = []
-    for t in range(t_len):
-        ks = np.empty(t_len - t)
-        for k in range(1, t_len - t + 1):
-            args = np.concatenate([ghat[t : t + k], [v_ext[t + k - 1]]])
-            ks[k - 1] = phi_reduce(args, gamma) - values[t]
-        records.append(
-            AdvantageRecord(k_step_adv=ks, gae_adv=float(gae[t]), lambda_return=float(lam_ret[t]))
-        )
-    return records
 
 
 # -- tabular solver -----------------------------------------------------------
@@ -295,13 +201,9 @@ def apply_backup_sweep(
     ghat value (absorbing goal states). The sweep is the operator whose
     sup-norm contraction modulus the tests measure.
     """
-    v_flat = values.reshape(-1)
-    v_succ = v_flat[succ]
-    if succ.ndim == values.ndim + 1:
-        q = (1.0 - gamma) * ghat[..., None] + gamma * np.minimum(ghat[..., None], v_succ)
-        new = q.min(axis=-1)
-    else:
-        new = (1.0 - gamma) * ghat + gamma * np.minimum(ghat, v_succ)
+    if succ.ndim == values.ndim:
+        succ = succ[..., None]  # an on-policy chain has one action
+    new = discounted_backup(ghat[..., None], values.reshape(-1)[succ], gamma).min(axis=-1)
     if frozen is not None:
         new = np.where(frozen, ghat, new)
     return new
@@ -373,31 +275,8 @@ def tabular_value_iteration(
 
 def tabular_q_values(aug: AugmentedTabular, table: TabularValueTable) -> np.ndarray:
     """Q(s_hat, a) induced by a solved value table, shape (S, 2, Z, A)."""
-    v_succ = table.values.reshape(-1)[aug.succ]
-    q = (1.0 - table.gamma) * aug.ghat[..., None] + table.gamma * np.minimum(
-        aug.ghat[..., None], v_succ
-    )
+    q = discounted_backup(aug.ghat[..., None], table.values.reshape(-1)[aug.succ], table.gamma)
     return np.where(aug.absorbing[..., None], aug.ghat[..., None], q)
-
-
-def export_value_table_csv(table: TabularValueTable, mdp: TabularMDP, path: str) -> None:
-    """Write (state coordinates, flag, budget, value) rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if mdp.coords is not None:
-            coord_names = [f"coord{i}" for i in range(mdp.coords.shape[1])]
-        else:
-            coord_names = ["state"]
-        writer.writerow([*coord_names, "y", "z", "value"])
-        for s in range(mdp.n_states):
-            coords = list(mdp.coords[s]) if mdp.coords is not None else [s]
-            for yi, y in enumerate((-1, 1)):
-                for zi, z in enumerate(table.z_grid):
-                    writer.writerow(
-                        [*coords, y, repr(float(z)), repr(float(table.values[s, yi, zi]))]
-                    )
 
 
 # -- discount bound -----------------------------------------------------------

@@ -171,6 +171,28 @@ def testbed_cost(p_a, p_b):
     return 0.5 * (10 * p_a + 20 * (1 - p_a)) + 0.5 * 30 * p_b
 
 
+def simulate_two_start_bandit(
+    mdp, p_a: float, p_b: float, n_episodes: int = 10_000, seed: int = 0
+) -> dict:
+    """Monte Carlo estimates of reach, reward, and cost for (p_a, p_b)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    probs = {s: p for s, p in zip(mdp.initial_states, (p_a, p_b))}
+    starts = rng.choice(mdp.initial_states, size=n_episodes, p=mdp.initial_probs)
+    draws = rng.uniform(size=n_episodes)
+    reach = reward = cost = 0.0
+    for s, d in zip(starts, draws):
+        a = 0 if d < probs[s] else 1
+        nxt = mdp.next_state[s, a]
+        reach += float(mdp.goal_mask[nxt])
+        reward += float(mdp.reward[s, a])
+        cost += float(mdp.cost[s, a])
+    return {
+        "reach_prob": reach / n_episodes,
+        "expected_reward": reward / n_episodes,
+        "expected_cost": cost / n_episodes,
+    }
+
+
 def mlp_reference(weights, biases, x, upstream, tanh=True):
     """Output, parameter gradients (dW0, db0, dW1, ...) and input gradient
     of sum(upstream * output) for a net given as weight and bias lists,

@@ -239,21 +239,6 @@ def test_adam_steps_equal_the_textbook_update():
             assert np.array_equal(p, wp) and np.array_equal(m, wm) and np.array_equal(v, wv)
 
 
-def test_lr_schedule_reaches_zero_on_the_final_step():
-    params = [np.zeros(2)]
-    state = approx.AdamState.for_params(params, base_lr=1.0, total_updates=4)
-    lrs = []
-    for _ in range(4):
-        lrs.append(state.effective_lr())
-        approx.adam_step(state, params, [np.ones(2)])
-    assert lrs[0] == pytest.approx(1.0)
-    assert lrs[-1] == pytest.approx(0.25)
-    assert state.effective_lr() == 0.0
-    before = params[0].copy()
-    approx.adam_step(state, params, [np.ones(2)])
-    assert np.array_equal(params[0], before)  # zero-lr step is a no-op
-
-
 # -- checkpoints -------------------------------------------------------------------
 
 

@@ -3,19 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachbudget import approx, rcppo
 from reachbudget.augment import (
     AugmentedGoalParams,
-    AugmentedState,
     augmented_goal,
-    augmented_reset,
     augmented_step,
-    augmented_step_with_cost,
     estimate_big_c,
-    in_augmented_goal,
     shifted_indicator,
+    start_flag,
     budget_equivalence_sides,
 )
 from reachbudget.envkit import pendulum_make, windfield_make
+
+
+def _deploy_start(problem, x0, z0):
+    """Deploy a tiny untrained budget policy from x0 at the fixed budget z0."""
+    rng = np.random.default_rng(0)
+    policy = approx.policy_init(
+        problem.state_dim + 2, problem.action_low, problem.action_high, rng, hidden=(4,)
+    )
+    meta = {"obs_scale": problem.obs_scale.tolist(), "z_min": -1.0, "z_max": 100.0}
+    return rcppo.deploy_policy(problem, policy, meta, z0, x0)
 
 
 def test_shifted_indicator_maps_membership_to_signs():
@@ -26,38 +34,41 @@ def test_shifted_indicator_maps_membership_to_signs():
 
 
 def test_reset_flags_unsafe_starts(windfield):
-    safe = augmented_reset(windfield, np.array([-25.0, 0.0]), 30.0)
-    assert safe.y == -1.0
-    assert safe.z == 30.0
-    unsafe = augmented_reset(windfield, np.array([-2.0, 10.0]), 30.0)
-    assert unsafe.y == 1.0
+    assert start_flag(windfield, np.array([-25.0, 0.0])) == -1.0
+    safe = _deploy_start(windfield, np.array([-25.0, 0.0]), 30.0)
+    assert safe.y[0] == -1.0
+    assert safe.z[0] == 30.0
+    unsafe = _deploy_start(windfield, np.array([-2.0, 10.0]), 30.0)
+    assert unsafe.y[0] == 1.0
+    assert start_flag(windfield, np.array([-2.0, 10.0])) == 1.0
 
 
 def test_reset_rejects_non_finite_budget(pendulum):
     with pytest.raises(ValueError):
-        augmented_reset(pendulum, np.array([0.1, 0.0]), np.nan)
+        _deploy_start(pendulum, np.array([0.1, 0.0]), np.nan)
 
 
 def test_budget_decreases_by_exactly_the_step_cost(pendulum):
-    s = augmented_reset(pendulum, np.array([1.0, 0.0]), 50.0)
-    s2, c = augmented_step_with_cost(pendulum, s, np.array([0.5]))
+    x, y, z = np.array([1.0, 0.0]), -1.0, 50.0
+    x2, y2, z2, c = augmented_step(pendulum, x, y, z, np.array([0.5]))
     assert c == pytest.approx(2.0)
-    assert s2.z == pytest.approx(50.0 - 2.0)
-    s3 = augmented_step(pendulum, s2, np.array([0.05]))
-    assert s3.z == pytest.approx(s2.z)  # free band costs nothing
+    assert z2 == pytest.approx(50.0 - 2.0)
+    _, _, z3, _ = augmented_step(pendulum, x2, y2, z2, np.array([0.05]))
+    assert z3 == pytest.approx(z2)  # free band costs nothing
 
 
 def test_flag_latches_on_arrival_and_never_clears(windfield):
     # start just left of the wall, drive into it, then back out
-    s = augmented_reset(windfield, np.array([-7.0, 10.0]), 100.0)
-    assert s.y == -1.0
-    while s.y < 0:
-        s, _ = augmented_step_with_cost(windfield, s, np.array([2.0, 0.0]))
-    assert windfield.in_avoid(s.x)
+    x = np.array([-7.0, 10.0])
+    y, z = start_flag(windfield, x), 100.0
+    assert y == -1.0
+    while y < 0:
+        x, y, z, _ = augmented_step(windfield, x, y, z, np.array([2.0, 0.0]))
+    assert windfield.in_avoid(x)
     for _ in range(10):
-        s, _ = augmented_step_with_cost(windfield, s, np.array([-2.0, 0.0]))
-    assert not windfield.in_avoid(s.x)
-    assert s.y == 1.0  # the latch survives leaving the region
+        x, y, z, _ = augmented_step(windfield, x, y, z, np.array([-2.0, 0.0]))
+    assert not windfield.in_avoid(x)
+    assert y == 1.0  # the latch survives leaving the region
 
 
 @given(z=st.floats(-5.0, 5.0), g=st.floats(-400.0, 400.0))
@@ -70,24 +81,23 @@ def test_augmented_goal_is_the_max_of_three_terms(z, g):
     g_actual = float(prob.goal_margin(x))
     params = AugmentedGoalParams(big_c=900.0)
     for y in (-1.0, 1.0):
-        s = AugmentedState(x=x, y=y, z=z)
         want = max(g_actual, 900.0 * y, -z)
-        assert augmented_goal(prob, s, params) == pytest.approx(want)
-        assert in_augmented_goal(prob, s, params) == (want <= 0.0)
+        assert augmented_goal(prob, x, y, z, params) == pytest.approx(want)
+        assert (augmented_goal(prob, x, y, z, params) <= 0.0) == (want <= 0.0)
 
 
 def test_membership_needs_goal_safety_and_budget(pendulum):
     params = AugmentedGoalParams(big_c=900.0)
     at_goal = np.array([0.005, -0.2])
     assert pendulum.in_goal(at_goal)
-    assert in_augmented_goal(pendulum, AugmentedState(at_goal, -1.0, 1.0), params)
+    assert augmented_goal(pendulum, at_goal, -1.0, 1.0, params) <= 0.0
     # same state, blown budget
-    assert not in_augmented_goal(pendulum, AugmentedState(at_goal, -1.0, -0.5), params)
+    assert not augmented_goal(pendulum, at_goal, -1.0, -0.5, params) <= 0.0
     # same state, latched flag
-    assert not in_augmented_goal(pendulum, AugmentedState(at_goal, 1.0, 1.0), params)
+    assert not augmented_goal(pendulum, at_goal, 1.0, 1.0, params) <= 0.0
     # not at goal
     away = np.array([1.0, 0.0])
-    assert not in_augmented_goal(pendulum, AugmentedState(away, -1.0, 1.0), params)
+    assert not augmented_goal(pendulum, away, -1.0, 1.0, params) <= 0.0
 
 
 def test_big_c_estimate_dominates_typical_margins_and_is_seeded(pendulum):

@@ -8,6 +8,7 @@ from reachbudget.baselines import BaselineConfig, LagrangianRewardConfig
 
 from oracles import (
     enumerate_best_whole_grid,
+    simulate_two_start_bandit,
     testbed_cost as closed_form_cost,
     testbed_reach as closed_form_reach,
     testbed_reward as closed_form_reward,
@@ -392,7 +393,7 @@ def test_solver_validates_modes_and_parameters(testbed):
 def test_monte_carlo_estimates_match_the_closed_forms(testbed):
     p_a, p_b = 0.3, 0.8
     n = 100_000
-    sim = baselines.simulate_two_start_bandit(testbed, p_a, p_b, n_episodes=n, seed=11)
+    sim = simulate_two_start_bandit(testbed, p_a, p_b, n_episodes=n, seed=11)
     # three-standard-error bands from bernoulli/bounded-support variance
     for key, want, spread in [
         ("reach_prob", closed_form_reach(p_a, p_b), 0.5),

@@ -366,6 +366,50 @@ def test_stale_config_hash_is_refused_without_force(tiny_cfg, rcppo_run, tmp_pat
     assert forced.exit_code == 0, forced.output
 
 
+@pytest.fixture(scope="module")
+def foreign_value(halfway_value, tmp_path_factory):
+    """halfway_value stamped with a config hash no config here has."""
+    arrays, meta = approx.load_checkpoint(halfway_value)
+    path = tmp_path_factory.mktemp("val") / "foreign.ckpt"
+    approx.save_checkpoint(str(path), arrays, dict(meta, config_hash="0" * 64))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["deploy", "evaluate"])
+def test_value_checkpoint_hash_is_checked_like_the_policy(
+    command, tiny_cfg, rcppo_run, halfway_value, foreign_value, tmp_path
+):
+    def run(value, *extra):
+        args = [
+            command, "--config", tiny_cfg, "--policy", f"{rcppo_run}/policy.ckpt",
+            "--value", value, "--out", str(tmp_path / "out"), *extra,
+        ]
+        args += ["--state", "2.0,0.0"] if command == "deploy" else ["--episodes", "1"]
+        return CliRunner().invoke(cli.main, args)
+
+    refused = run(foreign_value)
+    assert refused.exit_code != 0
+    assert "value checkpoint was produced under config hash 000000000000" in refused.output
+    assert "pass --force" in refused.output
+    forced = run(foreign_value, "--force")
+    assert forced.exit_code == 0, forced.output
+    # a checkpoint that carries no hash loads without --force
+    unstamped = run(halfway_value)
+    assert unstamped.exit_code == 0, unstamped.output
+
+
+def test_fit_zmap_refuses_a_single_sample(halfway_value, tmp_path):
+    result = CliRunner().invoke(
+        cli.main,
+        ["fit-zmap", "--value", halfway_value, "--out", str(tmp_path / "z.ckpt"),
+         "--samples", "1"],
+    )
+    assert result.exit_code != 0
+    assert isinstance(result.exception, ValueError)
+    assert "need at least 2 samples" in str(result.exception)
+    assert not (tmp_path / "z.ckpt").exists()
+
+
 def test_gridsearch_writes_the_sweep_table(tiny_cfg, tmp_path):
     out = tmp_path / "grid.csv"
     result = _invoke(["gridsearch", "--config", tiny_cfg, "--out", str(out), "--seed", "2"])

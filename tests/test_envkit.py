@@ -74,9 +74,6 @@ def test_pendulum_margins_plateau_inside_quadratic_outside(pendulum):
     assert pendulum.goal_margin(inside) == pytest.approx(-300.0)
     assert pendulum.goal_margin(outside) == pytest.approx(100 * 0.49)
     assert pendulum.avoid_margin(outside) == pytest.approx(-1.0)
-    m = pendulum.margins(outside)
-    assert m.g_value == pytest.approx(100 * 0.49)
-    assert m.h_value == pytest.approx(-1.0)
     assert not np.any(pendulum.in_avoid(np.array([[0.0, 0.0], [3.0, 8.0]])))
 
 

@@ -1,11 +1,15 @@
 """Pinned sha256 digests of short tiny-net runs.
 
 Each case runs a trainer, a rollout collection or an evaluation with
-16x16 nets for a few iterations and hashes everything it returns:
+16x16 nets for a few iterations, fits a small budget regressor, solves
+a small grid exactly or folds fixed episodes into advantages, and
+hashes everything it returns:
 arrays with their dtype and shape, log rows as JSON in their own key
 order, dataclasses field by field. The pins were captured before the
 trainers and deployment shared one lane engine and one update loop, so
-a refactor of either that moves one bit of any output fails here.
+a refactor of either that moves one bit of any output fails here. The
+regressor, grid and advantage pins were captured before the augmented
+transition and the reach backup each got a single definition.
 
 The digests hold for a given numpy and BLAS build; a different build
 may round a matmul differently and needs the pins captured again.
@@ -20,11 +24,12 @@ import json
 import numpy as np
 import pytest
 
-from reachbudget import baselines, rcppo
+from reachbudget import baselines, rcppo, reachval
 from reachbudget.augment import AugmentedGoalParams
 from reachbudget.envkit import (
     ControlNoiseWrapper,
     NoiseWrapperConfig,
+    grid_reachavoid_make,
     pendulum_make,
     windfield_make,
 )
@@ -133,7 +138,56 @@ def _run_evaluate(env, source):
     return (report,)
 
 
+def _run_zmap(env):
+    # decreasing in z, with a root past z_max (Infeasible) for the
+    # states farthest from the origin
+    problem = ENVS[env]()
+    meta = {"z_min": -1.0, "z_max": 600.0, "obs_scale": problem.obs_scale.tolist()}
+
+    def value_fn(x, y, z):
+        r2 = np.sum((np.asarray(x) / problem.obs_scale) ** 2, axis=-1)
+        return 1.2 * meta["z_max"] * r2 + 100.0 * y - z
+
+    reg = rcppo.fit_z_regressor(
+        value_fn, problem, meta, n_samples=64, tol=0.5, seed=3, hidden=(16, 16), epochs=40
+    )
+    return (reg.net.trainable(), reg.holdout_mae, reg.n_infeasible)
+
+
+def _tabular(gamma):
+    mdp = grid_reachavoid_make(6, 5, hazards=((1, 1), (2, 3), (3, 3)), goal_cell=(0, 4))
+    aug = reachval.augment_tabular(mdp, reachval.make_z_grid(1.0, 30.0), big_c=350.0)
+    return aug, reachval.tabular_value_iteration(aug, gamma=gamma)
+
+
+def _run_tabular(operator):
+    if operator == "greedy":
+        return (_tabular(0.99)[1],)
+    if operator == "greedy-undiscounted":
+        return (_tabular(1.0)[1],)
+    aug, table = _tabular(0.99)
+    if operator == "q":
+        return (reachval.tabular_q_values(aug, table),)
+    policy = np.random.default_rng(5).integers(0, aug.mdp.n_actions, aug.shape)
+    return (reachval.tabular_value_iteration(aug, policy=policy, gamma=0.99),)
+
+
+def _run_gae(mode):
+    rng = np.random.default_rng(12)
+    out = []
+    for t_len, gamma, lam in ((1, 0.99, 0.95), (2, 0.9, 0.5), (9, 0.99, 0.95), (60, 0.9999, 0.98)):
+        ghat, values = rng.uniform(-300, 300, t_len), rng.uniform(-300, 300, t_len)
+        out += reachval._gae_arrays(ghat, values, float(rng.uniform(-300, 300)), gamma, lam, mode)
+    return (out,)
+
+
 CASES = {}
+for _env in ("pendulum", "windfield"):
+    CASES[f"zmap-{_env}"] = (_run_zmap, _env)
+for _operator in ("greedy", "greedy-undiscounted", "policy", "q"):
+    CASES[f"tabular-{_operator}"] = (_run_tabular, _operator)
+for _mode in ("renormalized", "literal"):
+    CASES[f"gae-{_mode}"] = (_run_gae, _mode)
 for _env in ENVS:
     CASES[f"phase1-{_env}"] = (_run_phase1, _env)
     CASES[f"phase2-{_env}"] = (_run_phase2, _env)
@@ -160,6 +214,8 @@ PINS = {
     "evaluate-none-noisy": "d951ac6197d10c33ffca31388b292fa62896e74f9f6a498ab556108b02c47b8f",
     "evaluate-none-pendulum": "8652b1a7b02ba70cf6e928dc61a20358f9cbccd253a88675bb20389a6b6c007c",
     "evaluate-none-windfield": "a90f835a73cf70966e459ed53714dd2b057c725c79950fa512d48a248797f760",
+    "gae-literal": "407a7faeae12ad3a57734091ebe796164bf998b862059c0bc8c1443ae1ac2ee8",
+    "gae-renormalized": "2ada9b6593e000f87bdb9df5d325d9353032259f81fbb8db405bbe63758e0532",
     "phase1-noisy": "c07d7c1e39c9879d4e5759de2879da560b02d37a26491512f65fe42b1aea8790",
     "phase1-pendulum": "b4e34100aa6998d3469388ba84e97d114a206d7e70dc3f301f5832b671c29d0e",
     "phase1-windfield": "69a7d6a202ff14fd57a4da0884f50ff6cda09531ad848299db8f46f3639485cc",
@@ -172,6 +228,12 @@ PINS = {
     "rollouts-sampled-noisy": "4f159c532ca6f9c01e7d9f5adb806f08809a11135725131c14c74d0a7e3db22e",
     "rollouts-sampled-pendulum": "efa1c2bdc05d12a574d6066ac9b52c78b408564318d9c7fe41000203d1992299",
     "rollouts-sampled-windfield": "b8824f9dcfa9791a5ab43fe0ee61b2a7415b593ff1e11e88f8dd966b3c4ca4da",
+    "tabular-greedy": "5f68867d5c5f9ac7a7c77828efb7e2d28d24671c639782c62b6f8d583551f878",
+    "tabular-greedy-undiscounted": "660415c200c05309b0e4407a60fca1414bead736912c6a7f31af355ffff95806",
+    "tabular-policy": "40c61d83931ffcac1f4220c21f0481135b0db28da6f0dcd6095fb21c3d975cf2",
+    "tabular-q": "5548fa0ffc0653db417b920195c3a4960e741dd6177684dbc6e9ad98f1d56124",
+    "zmap-pendulum": "11e4d9efc8bef08f74bf454323fb4b2438886cb64fd7e7e571b8a1467eaebeed",
+    "zmap-windfield": "beafb2b201bf9b3757d799fb1b4ddb8d506342f517318cca469e5f3dff4d88ee",
 }
 
 

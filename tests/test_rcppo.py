@@ -763,6 +763,31 @@ def test_regressor_refuses_mostly_infeasible_value_functions(pendulum):
         )
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_regressor_refuses_fewer_than_two_samples(monkeypatch, pendulum, n_samples):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on too few samples")
+
+    monkeypatch.setattr(approx, "mlp_init", no_training)
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        rcppo.fit_z_regressor(
+            lambda x, y, z: no_training(), pendulum, _meta(z_max=100.0), n_samples=n_samples
+        )
+
+
+def test_regressor_refuses_fewer_than_two_feasible_states(monkeypatch, pendulum):
+    # of the two sampled states only the one with the smaller angle is feasible
+    xs = pendulum.sample_initial(_rng(3), 2)
+    split = xs[:, 0].mean()
+
+    def value(x, y, z):
+        return np.where(np.asarray(x)[:, 0] < split, 40.0 - z, 1.0)
+
+    monkeypatch.setattr(approx, "mlp_init", lambda *a, **k: pytest.fail("trained on one state"))
+    with pytest.raises(ValueError, match="need at least 2 feasible states"):
+        rcppo.fit_z_regressor(value, pendulum, _meta(z_max=100.0), n_samples=2, seed=3)
+
+
 # -- deployment ------------------------------------------------------------------------
 
 

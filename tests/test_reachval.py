@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,17 +6,11 @@ from hypothesis import strategies as st
 from reachbudget.envkit import grid_reachavoid_make
 from reachbudget.reachval import (
     AugmentedTabular,
-    BackupConfig,
+    _gae_arrays,
     apply_backup_sweep,
     augment_tabular,
     discounted_backup,
-    export_value_table_csv,
-    gae_advantages,
     make_z_grid,
-    phi_reduce,
-    q_backup,
-    rabe_backup,
-    rbe_backup,
     snap_z_index,
     tabular_q_values,
     tabular_value_iteration,
@@ -32,15 +24,10 @@ from oracles import dijkstra_grid, naive_gae, naive_phi
 
 
 def test_reach_backup_takes_the_worse_of_now_and_later():
-    assert rbe_backup(3.0, -2.0) == -2.0
-    assert rbe_backup(-5.0, -2.0) == -5.0
-    assert rbe_backup(4.0, 7.0) == 4.0
-
-
-def test_reach_avoid_backup_respects_the_avoid_floor():
-    assert rabe_backup(3.0, -1.0, -2.0) == -1.0
-    assert rabe_backup(3.0, -4.0, -2.0) == -2.0
-    assert rabe_backup(-1.0, -4.0, 5.0) == -1.0
+    # at gamma = 1 the discounted backup is the undiscounted min(ghat, V')
+    assert discounted_backup(3.0, -2.0, 1.0) == -2.0
+    assert discounted_backup(-5.0, -2.0, 1.0) == -5.0
+    assert discounted_backup(4.0, 7.0, 1.0) == 4.0
 
 
 def test_discounted_backup_blends_toward_the_margin():
@@ -50,7 +37,6 @@ def test_discounted_backup_blends_toward_the_margin():
     )
     assert discounted_backup(10.0, -10.0, gamma=0.99) == pytest.approx(-9.8)
     assert discounted_backup(-2.0, 5.0, gamma=0.5) == pytest.approx(-2.0)
-    assert q_backup(10.0, -10.0, gamma=0.99) == pytest.approx(-9.8)
 
 
 def test_discounted_backup_accepts_gamma_one_rejects_others():
@@ -60,19 +46,21 @@ def test_discounted_backup_accepts_gamma_one_rejects_others():
     with pytest.raises(ValueError):
         discounted_backup(3.0, -1.0, gamma=1.5)
     with pytest.raises(ValueError):
-        BackupConfig(gamma=-0.2)
+        discounted_backup(3.0, -1.0, gamma=-0.2)
 
 
 # -- fold reductions -------------------------------------------------------------
 
 
+def _right_fold(values, gamma):
+    acc = values[-1]
+    for v in reversed(values[:-1]):
+        acc = discounted_backup(v, acc, gamma)
+    return acc
+
+
 def test_fold_of_two_values_is_one_backup():
-    assert phi_reduce([10.0, -10.0], 0.99) == pytest.approx(-9.8)
-
-
-def test_fold_needs_at_least_two_values():
-    with pytest.raises(ValueError):
-        phi_reduce([1.0], 0.99)
+    assert _right_fold([10.0, -10.0], 0.99) == pytest.approx(-9.8)
 
 
 @given(
@@ -81,7 +69,7 @@ def test_fold_needs_at_least_two_values():
 )
 @settings(max_examples=300, deadline=None)
 def test_fold_matches_naive_recursion(values, gamma):
-    assert phi_reduce(values, gamma) == pytest.approx(
+    assert _right_fold(values, gamma) == pytest.approx(
         naive_phi(values, gamma), abs=1e-9
     )
 
@@ -91,31 +79,32 @@ def test_advantage_chains_match_direct_series():
     ghat = rng.uniform(-30, 30, 9)
     values = rng.uniform(-30, 30, 9)
     tail = 4.0
-    records = gae_advantages(ghat, values, tail, 0.95, 0.9, mode="renormalized")
+    got, _ = _gae_arrays(ghat, values, tail, 0.95, 0.9, mode="renormalized")
     want = naive_gae(ghat, values, tail, 0.95, 0.9, "renormalized")
-    got = np.array([r.gae_adv for r in records])
     assert np.allclose(got, want, atol=1e-9)
-    lit = gae_advantages(ghat, values, tail, 0.95, 0.9, mode="literal")
+    lit, _ = _gae_arrays(ghat, values, tail, 0.95, 0.9, mode="literal")
     want_lit = naive_gae(ghat, values, tail, 0.95, 0.9, "literal")
-    assert np.allclose([r.gae_adv for r in lit], want_lit, atol=1e-9)
+    assert np.allclose(lit, want_lit, atol=1e-9)
 
 
 def test_renormalized_weights_sum_to_one_even_on_short_tails():
     # with a single step left the estimate is exactly the 1-step one
     ghat = np.array([5.0])
     values = np.array([2.0])
-    rec = gae_advantages(ghat, values, -1.0, 0.9, 0.95, mode="renormalized")[0]
-    one_step = phi_reduce([5.0, -1.0], 0.9) - 2.0
-    assert rec.gae_adv == pytest.approx(one_step)
-    assert rec.k_step_adv[0] == pytest.approx(one_step)
+    gae, ret = _gae_arrays(ghat, values, -1.0, 0.9, 0.95, mode="renormalized")
+    one_step = discounted_backup(5.0, -1.0, 0.9) - 2.0
+    assert gae[0] == pytest.approx(one_step)
+    # the one-step target minus the value is the one-step advantage
+    assert ret[0] - values[0] == pytest.approx(one_step)
 
 
 def test_lambda_return_is_value_plus_advantage():
     rng = np.random.default_rng(3)
     ghat = rng.uniform(-5, 5, 6)
     values = rng.uniform(-5, 5, 6)
-    for rec, v in zip(gae_advantages(ghat, values, 0.0, 0.99, 0.95), values):
-        assert rec.lambda_return == pytest.approx(v + rec.gae_adv)
+    gae, ret = _gae_arrays(ghat, values, 0.0, 0.99, 0.95)
+    for lambda_return, gae_adv, v in zip(ret, gae, values):
+        assert lambda_return == pytest.approx(v + gae_adv)
 
 
 # -- budget grid -----------------------------------------------------------------
@@ -302,24 +291,3 @@ def test_min_gamma_rejects_degenerate_inputs():
         discount_sign_bound(100.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         discount_sign_bound(100.0, 100.0, 0.0)
-
-
-# -- export ----------------------------------------------------------------------
-
-
-def test_value_table_export_round_trips_through_repr(tmp_path, grid5):
-    grid = make_z_grid(1.0, 10.0)
-    aug = augment_tabular(grid5, grid, big_c=350.0)
-    table = tabular_value_iteration(aug, gamma=0.99)
-    path = tmp_path / "table.csv"
-    export_value_table_csv(table, grid5, str(path))
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == grid5.n_states * 2 * len(grid)
-    probe = rows[7]
-    s = int(probe["coord0"]) * 5 + int(probe["coord1"])
-    yi = 0 if float(probe["y"]) < 0 else 1
-    zi = int(np.argwhere(grid == float(probe["z"]))[0, 0])
-    assert float(probe["value"]) == table.values[s, yi, zi]
-    # repr floats parse back to the exact binary value
-    assert probe["value"] == repr(float(probe["value"]))
