@@ -86,7 +86,7 @@ def _load_value(path: str) -> tuple[approx.MlpParams, dict]:
     return approx.mlp_from_arrays("value", arrays), meta
 
 
-def _save_regressor(path: str, reg: rcppo.ZRegressor) -> None:
+def _save_regressor(path: str, reg: rcppo.ZRegressor, cfg: dict) -> None:
     arrays = approx.mlp_to_arrays("zmap", reg.net)
     arrays["zmap_obs_scale"] = reg.obs_scale
     meta = {
@@ -95,16 +95,17 @@ def _save_regressor(path: str, reg: rcppo.ZRegressor) -> None:
         "z_max": reg.z_max,
         "holdout_mae": reg.holdout_mae,
         "n_infeasible": reg.n_infeasible,
+        "config_hash": config_hash(cfg),
     }
     approx.save_checkpoint(path, arrays, meta)
 
 
-def _load_regressor(path: str) -> rcppo.ZRegressor:
+def _load_regressor(path: str) -> tuple[rcppo.ZRegressor, dict]:
     arrays, meta = approx.load_checkpoint(path)
     if meta.get("kind") != "z_regressor":
         raise click.ClickException(f"{path} is not a budget-regressor checkpoint")
     scale = arrays.pop("zmap_obs_scale")
-    return rcppo.ZRegressor(
+    reg = rcppo.ZRegressor(
         net=approx.mlp_from_arrays("zmap", arrays),
         obs_scale=scale,
         z_min=meta["z_min"],
@@ -112,6 +113,7 @@ def _load_regressor(path: str) -> rcppo.ZRegressor:
         holdout_mae=meta["holdout_mae"],
         n_infeasible=meta["n_infeasible"],
     )
+    return reg, meta
 
 
 def _echo_config(cfg: dict) -> None:
@@ -147,7 +149,9 @@ def _z_source_from_options(cfg, z, zmap, value, tol, force):
     if z is not None:
         return float(z)
     if zmap is not None:
-        return _load_regressor(zmap)
+        reg, zmeta = _load_regressor(zmap)
+        _check_hash(zmeta, cfg, force, "budget regressor")
+        return reg
     if value is not None:
         val_params, vmeta = _load_value(value)
         _check_hash(vmeta, cfg, force, "value checkpoint")
@@ -273,8 +277,11 @@ def fit_zmap(config_path, value_path, out_path, samples, tol, seed):
     problem = build_problem(cfg)
     value, meta = _load_value(value_path)
     fn = rcppo.value_fn_from(value, meta)
-    reg = rcppo.fit_z_regressor(fn, problem, meta, n_samples=samples, tol=tol, seed=seed)
-    _save_regressor(out_path, reg)
+    try:
+        reg = rcppo.fit_z_regressor(fn, problem, meta, n_samples=samples, tol=tol, seed=seed)
+    except (ValueError, RuntimeError) as exc:
+        raise click.ClickException(str(exc)) from exc
+    _save_regressor(out_path, reg, cfg)
     click.echo(
         f"fit budget regressor on {samples - reg.n_infeasible} states "
         f"({reg.n_infeasible} infeasible dropped), holdout MAE {reg.holdout_mae:.4g}"

@@ -741,18 +741,20 @@ def _bisect(value_fn, x, y, rows: bool, z_min, z_max, tol, scan_points):
         return vals
 
     n = len(y) if rows else 1
-    # linspace sets both ends exactly, so the sweep also gives V(z_min), V(z_max)
-    sweep = np.linspace(z_min, z_max, scan_points) if scan_points > 1 else [z_min, z_max]
-    v_sweep = np.reshape(values_at(range(n), len(sweep), np.tile(sweep, n)), (n, -1))
+    # linspace sets both ends exactly, so the scan also gives V(z_min), V(z_max)
+    first = np.linspace(z_min, z_max, scan_points).tolist() if scan_points > 1 else [z_min, z_max]
+    per = len(first)
+    v_first = values_at(range(n), per, first * n)
     violations = [0] * n
     if scan_points > 1:
-        signs = v_sweep <= 0.0
+        signs = np.reshape(v_first, (n, per)) <= 0.0
         violations = np.sum(signs[:, :-1] & ~signs[:, 1:], axis=1).tolist()
     out: list = [None] * n
     lo, hi = float(z_min), float(z_max)
     max_iter = int(np.ceil(np.log2(max(1.0, (hi - lo) / tol)))) + 5
     brackets = {}  # unfinished state -> [lo, hi, v(hi), iterations]
-    for i, (v_lo, v_hi) in enumerate(v_sweep[:, [0, -1]].tolist()):
+    for i in range(n):
+        v_lo, v_hi = v_first[i * per], v_first[(i + 1) * per - 1]
         if violations[i]:
             warnings.warn(
                 f"value sign regressed {violations[i]} time(s) along the z sweep",

@@ -117,7 +117,7 @@ def make_z_grid(delta: float, z_max: float, z_bottom: float = -1.0) -> np.ndarra
 def snap_z_index(z_grid: np.ndarray, z) -> np.ndarray:
     """Index of the largest grid node <= z, clamped to the bottom node."""
     idx = np.searchsorted(z_grid, np.asarray(z), side="right") - 1
-    return np.clip(idx, 0, len(z_grid) - 1)
+    return np.minimum(np.maximum(idx, 0), len(z_grid) - 1)
 
 
 @dataclass
@@ -128,7 +128,9 @@ class AugmentedTabular:
     z_grid: np.ndarray
     big_c: float
     ghat: np.ndarray  # (S, 2, Z); flag axis: 0 -> y=-1, 1 -> y=+1
-    succ: np.ndarray  # (S, 2, Z, A) flat successor indices into ravel(S,2,Z)
+    # (S, 2, Z, A) flat successor indices into ravel(S,2,Z), stored
+    # action-major so each succ[..., a] is one contiguous index array
+    succ: np.ndarray
     absorbing: np.ndarray  # (S, 2, Z) bool, augmented-goal states
 
     @property
@@ -146,19 +148,19 @@ def augment_tabular(mdp: TabularMDP, z_grid: np.ndarray, big_c: float) -> Augmen
     )
 
     # Successor indices: y latches on the arrival state, z snaps down.
-    succ = np.empty((s_n, 2, z_n, a_n), dtype=np.int64)
+    by_action = np.empty((a_n, s_n, 2, z_n), dtype=np.int64)
     for a in range(a_n):
         s_next = mdp.next_state[:, a]
         z_next_idx = snap_z_index(z_grid, z_grid[None, :] - mdp.cost[:, a][:, None])
         for yi in range(2):
             y_next = np.maximum(yi, mdp.avoid_mask[s_next].astype(int))
-            succ[:, yi, :, a] = (
+            by_action[a, :, yi, :] = (
                 (s_next[:, None] * 2 + y_next[:, None]) * z_n + z_next_idx
             )
     absorbing = ghat <= 0.0
     return AugmentedTabular(
         mdp=mdp, z_grid=np.asarray(z_grid, dtype=np.float64), big_c=float(big_c),
-        ghat=ghat, succ=succ, absorbing=absorbing,
+        ghat=ghat, succ=np.moveaxis(by_action, 0, -1), absorbing=absorbing,
     )
 
 
@@ -200,10 +202,23 @@ def apply_backup_sweep(
     operator (minimum over actions). States marked frozen keep their
     ghat value (absorbing goal states). The sweep is the operator whose
     sup-norm contraction modulus the tests measure.
+
+    The greedy operator takes the minimum successor value first and
+    backs up once: the backup is nondecreasing in V', and each of its
+    float steps (min, the product by gamma, the sum) rounds
+    monotonically, so the minimum of the per-action backups equals the
+    backup of the minimum successor value. The result equals the
+    per-action form's under ==, and is bitwise the same except where a
+    margin is -0.0: there a zero result may differ in sign, since which
+    of two signed zeros a minimum keeps is not specified.
     """
     if succ.ndim == values.ndim:
         succ = succ[..., None]  # an on-policy chain has one action
-    new = discounted_backup(ghat[..., None], values.reshape(-1)[succ], gamma).min(axis=-1)
+    flat = values.reshape(-1)
+    best = flat[succ[..., 0]]
+    for a in range(1, succ.shape[-1]):
+        np.minimum(best, flat[succ[..., a]], out=best)
+    new = discounted_backup(ghat, best, gamma)
     if frozen is not None:
         new = np.where(frozen, ghat, new)
     return new

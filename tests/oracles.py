@@ -112,6 +112,23 @@ def naive_gae(ghat, values, tail, gamma, lam, mode):
     return np.asarray(out)
 
 
+def backup_sweep_reference(ghat, succ, values, gamma, frozen=None):
+    """One sweep of the discounted reach backup, one backup per action.
+
+    Backs up every successor value with (1 - gamma) * ghat +
+    gamma * min(ghat, V') and then takes the minimum over the action
+    axis; succ is (N,) for a chain or (N, A). Frozen states keep ghat.
+    """
+    if succ.ndim == values.ndim:
+        succ = succ[..., None]
+    g = np.asarray(ghat)[..., None]
+    backed = (1.0 - gamma) * g + gamma * np.minimum(g, values.reshape(-1)[succ])
+    new = backed.min(axis=-1)
+    if frozen is not None:
+        new = np.where(frozen, ghat, new)
+    return new
+
+
 def sequential_bisection(value, z_min, z_max, tol, scan_points=0):
     """Smallest budget with value(z) <= 0, asking value for one budget at a time.
 

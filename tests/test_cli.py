@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from reachbudget import approx, cli, rcppo
 from reachbudget.cli import LOG_COLUMNS
+from reachbudget.config import config_hash, load_config
 
 TINY = {
     "train": {
@@ -205,7 +206,7 @@ def test_fit_zmap_distills_a_constant_budget_map(halfway_value, tmp_path):
         "--samples", "32", "--seed", "1",
     ])
     assert "holdout MAE" in result.output
-    reg = cli._load_regressor(str(out))
+    reg, _ = cli._load_regressor(str(out))
     assert reg.n_infeasible == 0
     preds = rcppo.regressor_predict(reg, np.array([[0.5, 0.0], [-2.0, 3.0]]), -1.0)
     assert np.all(np.abs(preds - HALFWAY_Z) < 10.0)
@@ -217,8 +218,10 @@ def test_fit_zmap_fails_loudly_when_mostly_infeasible(hopeless_value, tmp_path):
         ["fit-zmap", "--value", hopeless_value, "--out", str(tmp_path / "z.ckpt"),
          "--samples", "16"],
     )
-    assert result.exit_code != 0
-    assert isinstance(result.exception, RuntimeError)
+    assert result.exit_code == 1
+    assert "Error: 16/16 sampled states infeasible; refusing to fit" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "z.ckpt").exists()
 
 
 def test_load_regressor_rejects_other_checkpoints(halfway_value):
@@ -404,10 +407,52 @@ def test_fit_zmap_refuses_a_single_sample(halfway_value, tmp_path):
         ["fit-zmap", "--value", halfway_value, "--out", str(tmp_path / "z.ckpt"),
          "--samples", "1"],
     )
-    assert result.exit_code != 0
-    assert isinstance(result.exception, ValueError)
-    assert "need at least 2 samples" in str(result.exception)
+    assert result.exit_code == 1
+    assert "Error: need at least 2 samples to fit and hold out, got 1" in result.output
+    assert "Traceback" not in result.output
     assert not (tmp_path / "z.ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def zmaps(tiny_cfg, halfway_value, tmp_path_factory):
+    """A regressor fit under tiny_cfg, a copy stamped with a foreign hash, one unstamped."""
+    out = tmp_path_factory.mktemp("zmap")
+    _invoke([
+        "fit-zmap", "--config", tiny_cfg, "--value", halfway_value,
+        "--out", str(out / "zmap.ckpt"), "--samples", "32", "--seed", "1",
+    ])
+    arrays, meta = approx.load_checkpoint(str(out / "zmap.ckpt"))
+    approx.save_checkpoint(str(out / "foreign.ckpt"), arrays, dict(meta, config_hash="0" * 64))
+    meta.pop("config_hash")
+    approx.save_checkpoint(str(out / "unstamped.ckpt"), arrays, meta)
+    return {name: str(out / f"{name}.ckpt") for name in ("zmap", "foreign", "unstamped")}
+
+
+def test_fit_zmap_stamps_the_config_hash(tiny_cfg, zmaps):
+    _, meta = cli._load_regressor(zmaps["zmap"])
+    assert meta["config_hash"] == config_hash(load_config(tiny_cfg))
+
+
+@pytest.mark.parametrize("command", ["deploy", "evaluate"])
+def test_zmap_hash_is_checked_like_the_policy(command, tiny_cfg, rcppo_run, zmaps, tmp_path):
+    def run(zmap, *extra):
+        args = [
+            command, "--config", tiny_cfg, "--policy", f"{rcppo_run}/policy.ckpt",
+            "--zmap", zmap, "--out", str(tmp_path / "out"), *extra,
+        ]
+        args += ["--state", "2.0,0.0"] if command == "deploy" else ["--episodes", "1"]
+        return CliRunner().invoke(cli.main, args)
+
+    assert run(zmaps["zmap"]).exit_code == 0
+    refused = run(zmaps["foreign"])
+    assert refused.exit_code != 0
+    assert "budget regressor was produced under config hash 000000000000" in refused.output
+    assert "pass --force" in refused.output
+    forced = run(zmaps["foreign"], "--force")
+    assert forced.exit_code == 0, forced.output
+    # a regressor that carries no hash loads without --force
+    unstamped = run(zmaps["unstamped"])
+    assert unstamped.exit_code == 0, unstamped.output
 
 
 def test_gridsearch_writes_the_sweep_table(tiny_cfg, tmp_path):

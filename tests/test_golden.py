@@ -9,7 +9,9 @@ order, dataclasses field by field. The pins were captured before the
 trainers and deployment shared one lane engine and one update loop, so
 a refactor of either that moves one bit of any output fails here. The
 regressor, grid and advantage pins were captured before the augmented
-transition and the reach backup each got a single definition.
+transition and the reach backup each got a single definition; the
+12x12 grid, bisection and backup-sweep pins before the greedy sweep
+took the minimum successor value ahead of its one backup.
 
 The digests hold for a given numpy and BLAS build; a different build
 may round a matmul differently and needs the pins captured again.
@@ -172,6 +174,59 @@ def _run_tabular(operator):
     return (reachval.tabular_value_iteration(aug, policy=policy, gamma=0.99),)
 
 
+def _hazard_grid(seed):
+    """A seeded 12x12 grid: a goal, about 15% hazard cells, leave costs 1 or 2."""
+    rng = np.random.default_rng(seed)
+    goal = (int(rng.integers(12)), int(rng.integers(12)))
+    hazard = rng.random((12, 12)) < 0.15
+    hazards = {(r, c) for r in range(12) for c in range(12) if hazard[r, c]} - {goal}
+    leave = rng.integers(1, 3, (12, 12))
+    costs = {(r, c): float(leave[r, c]) for r in range(12) for c in range(12)}
+    mdp = grid_reachavoid_make(12, 12, tuple(sorted(hazards)), goal, step_cost_table=costs)
+    return reachval.augment_tabular(mdp, reachval.make_z_grid(1.0, 290.0), big_c=350.0)
+
+
+def _run_augment(seed):
+    aug = _hazard_grid(seed)
+    return (aug.ghat, aug.succ, aug.absorbing)
+
+
+def _run_bisect_grid(seed):
+    aug = _hazard_grid(seed)
+    table = reachval.tabular_value_iteration(aug, gamma=1.0)
+    out = []
+    for s in range(aug.mdp.n_states):
+        for y0 in (-1.0, 1.0):
+            try:
+                sol = rcppo.bisect_z_star(table.value_at, s, y0, -1.0, aug.z_grid[-1], tol=1e-6)
+            except rcppo.Infeasible:
+                out.append("infeasible")
+                continue
+            out.append([float(sol.z_star), [float(b) for b in sol.bracket],
+                        sol.iterations, float(sol.v_at_zstar)])
+    return (out,)
+
+
+def _run_backup_sweep(form):
+    # margins and values on a coarse integer lattice as well as continuous
+    # ones, so ties and repeated successors are common; no margin is -0.0
+    rng = np.random.default_rng(21)
+    out = []
+    for shape in ((40,), (5, 2, 7)):
+        n = int(np.prod(shape))
+        for ghat, values in (
+            (rng.uniform(-300, 300, shape), rng.uniform(-300, 300, shape)),
+            (rng.integers(-3, 4, shape).astype(float), rng.integers(-3, 4, shape).astype(float)),
+        ):
+            succ_shape = shape if form == "chain" else shape + (4,)
+            succ = rng.integers(0, n, succ_shape)
+            frozen = rng.random(shape) < 0.2
+            for gamma in (1.0, 0.9):
+                for fz in (None, frozen):
+                    out.append(reachval.apply_backup_sweep(ghat, succ, values, gamma, frozen=fz))
+    return (out,)
+
+
 def _run_gae(mode):
     rng = np.random.default_rng(12)
     out = []
@@ -186,6 +241,11 @@ for _env in ("pendulum", "windfield"):
     CASES[f"zmap-{_env}"] = (_run_zmap, _env)
 for _operator in ("greedy", "greedy-undiscounted", "policy", "q"):
     CASES[f"tabular-{_operator}"] = (_run_tabular, _operator)
+for _seed in (0, 1):
+    CASES[f"augment-grid-{_seed}"] = (_run_augment, _seed)
+    CASES[f"bisect-grid-{_seed}"] = (_run_bisect_grid, _seed)
+for _form in ("chain", "greedy"):
+    CASES[f"backup-sweep-{_form}"] = (_run_backup_sweep, _form)
 for _mode in ("renormalized", "literal"):
     CASES[f"gae-{_mode}"] = (_run_gae, _mode)
 for _env in ENVS:
@@ -199,12 +259,18 @@ for _env in ENVS:
         CASES[f"evaluate-{_source}-{_env}"] = (_run_evaluate, _env, _source)
 
 PINS = {
+    "augment-grid-0": "701ac83780bcf18e1e497cd1258c04b24094af036e8005d55e497a2e5588d0ad",
+    "augment-grid-1": "b8a4e673ff7bb0a73f03e40497b4d332d94a760421fc342d31de2f5a996470c9",
+    "backup-sweep-chain": "593ffc785bec653ba1ad8c996bb3e9f2864c93e7c1fbc04f28e41eeb098b58d4",
+    "backup-sweep-greedy": "3d991f1dee21e66adc6f1ed7b24ad483d5dc8e3af564ecf39860199f5d9bbf9f",
     "baseline-noisy": "d4defcb223473c53c5d76d52a0e899fa7ccfe02168b5a2a2c31d72647580228f",
     "baseline-pendulum": "5ae4f796c8a0da0c25ffb696396502871ac553d3c0cafe54251ca5acd65aff59",
     "baseline-shaped-noisy": "f4d79acefb5088b11f47bc65a507ef0091f2ad972efed5ba184ffeb6c95c5eea",
     "baseline-shaped-pendulum": "89dedfe9f9fb209f82b0ee61f142a805b9d89cce3688b9de978347f7b6ef59d1",
     "baseline-shaped-windfield": "aa08e4ee8bed263380b45fc6bb5a5523e02d5eec7eaec9bb7dd299d5de34f89d",
     "baseline-windfield": "7882a9b66040362d6e3c0fc1cc46436365bd8bf7bb522e7fde5fca273d952059",
+    "bisect-grid-0": "43d4a3113849958e0668ae8e2189dbecb1ab9d7ec92cb47d4a2d0eb0971fc43f",
+    "bisect-grid-1": "f30a9e46c6c0b0f70b5d1731f8cbe953de1883f86fcc28124aa0a7a18500a18e",
     "evaluate-bisected-noisy": "b55074cd6de60adfbaf533ff94913350e0c194668da068c29104ca8079ed430e",
     "evaluate-bisected-pendulum": "585a62ca84b056361944c5b85960c01086f032cbcb038cc7960206a2fce55bea",
     "evaluate-bisected-windfield": "ed3649ab8501d1bfad774b06ee31a1e5f24ff8155ae18b279e437b4e46d703c8",

@@ -17,7 +17,7 @@ from reachbudget.reachval import (
     discount_sign_bound,
 )
 
-from oracles import dijkstra_grid, naive_gae, naive_phi
+from oracles import backup_sweep_reference, dijkstra_grid, naive_gae, naive_phi
 
 
 # -- single backups --------------------------------------------------------------
@@ -251,6 +251,54 @@ def test_backup_sweep_contracts_in_sup_norm(gamma, seed):
     t2 = apply_backup_sweep(ghat, succ, v2, gamma)
     gap = np.max(np.abs(v1 - v2))
     assert np.max(np.abs(t1 - t2)) <= gamma * gap + 1e-9
+
+
+# a coarse lattice, so ties between successors are common, and wide floats
+_LATTICE = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+_WIDE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+_GAMMA = st.sampled_from([1.0, 0.99, 0.9, 0.5]) | st.floats(5e-324, 1.0)
+
+
+@st.composite
+def _sweep_inputs(draw, signed_zeros):
+    n = draw(st.integers(1, 12))
+    width = draw(st.sampled_from([None, 1, 2, 4, 5]))  # None: an on-policy chain
+    elem = _LATTICE | _WIDE
+    if signed_zeros:
+        elem = elem | st.just(-0.0)
+    ghat = np.array(draw(st.lists(elem, min_size=n, max_size=n)))
+    values = np.array(draw(st.lists(elem, min_size=n, max_size=n)))
+    # few states, so successors repeat within and across rows
+    shape = (n,) if width is None else (n, width)
+    succ = np.array(draw(st.lists(st.integers(0, n - 1), min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))).reshape(shape)
+    frozen = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+    return ghat, succ, values, draw(_GAMMA), frozen
+
+
+@given(inputs=_sweep_inputs(signed_zeros=False))
+@settings(max_examples=250, deadline=None)
+def test_sweep_is_bitwise_the_per_action_backup_without_negative_zero_margins(inputs):
+    got = apply_backup_sweep(*inputs)
+    want = backup_sweep_reference(*inputs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(inputs=_sweep_inputs(signed_zeros=True))
+@settings(max_examples=250, deadline=None)
+def test_sweep_equals_the_per_action_backup_with_signed_zeros(inputs):
+    got = apply_backup_sweep(*inputs)
+    want = backup_sweep_reference(*inputs)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_successor_table_is_action_major(grid5):
+    aug = augment_tabular(grid5, make_z_grid(1.0, 40.0), big_c=350.0)
+    assert aug.succ.shape == (*aug.shape, grid5.n_actions)
+    for a in range(grid5.n_actions):
+        assert aug.succ[..., a].flags.c_contiguous
 
 
 def test_sweep_respects_frozen_states():
