@@ -5,15 +5,21 @@ by default. Gradients come from hand-written reverse mode; the
 finite_difference_check helper is the tool the test suite points at
 them.
 
+Each net keeps its parameters in one contiguous vector, `flat`: the
+weights and biases, in trainable() order, and for a policy then its
+log-std. The per-layer arrays are views into it. The backward passes
+write their gradients into one fresh vector with the same layout, so
+adam_step updates a whole net with a few vector operations instead of
+a loop over its arrays. Checkpoints still hold one entry per array.
+
 At 256x256 the temporaries of an elementwise step cost more than its
 arithmetic, so the forward pass adds the bias and applies tanh in place
 on the fresh matmul output, the backward pass scales delta in place and
 backpropagates through a one-column layer by broadcasting, and Adam
-works through two scratch arrays per parameter. The values are bitwise
-those of the plain expressions (tests/oracles.py keeps them). No
-function keeps state between calls, and each writes only the arrays it
-is given or creates, so two threads may train two different nets at
-once.
+works through two scratch vectors. The values are bitwise those of the
+plain expressions (tests/oracles.py keeps them). No function keeps
+state between calls, and each writes only the arrays it is given or
+creates, so two threads may train two different nets at once.
 
 Checkpoints are zip archives of .npy entries written with a pinned
 timestamp so identical parameters produce identical bytes.
@@ -23,8 +29,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,18 +40,51 @@ LOG_STD_MAX = 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _views(vec: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of vec with the given shapes, in order."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(vec[start : start + size].reshape(shape))
+        start += size
+    return out
+
+
+def _vector_of(arrays: list[np.ndarray]) -> np.ndarray:
+    """The one vector that arrays are views into, which they must cover."""
+    vec = arrays[0].base if arrays else None
+    if (
+        vec is None
+        or vec.ndim != 1
+        or any(a.base is not vec for a in arrays)
+        or sum(a.size for a in arrays) != vec.size
+    ):
+        raise ValueError("expected the views of one parameter or gradient vector")
+    return vec
+
+
 @dataclass
 class MlpParams:
     """Weights and biases of a fully connected net.
 
     weights[i] has shape (fan_in, fan_out); activation applies after
     every layer except the last. Supported activations: "tanh" and
-    "identity".
+    "identity". Construction copies the given arrays into one new
+    float64 vector, the attribute flat, and makes weights and biases
+    views into it, so writing them in place writes the vector.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str = "tanh"
+
+    def __post_init__(self) -> None:
+        self._adopt(np.concatenate([np.ravel(a) for a in self.trainable()], dtype=np.float64))
+
+    def _adopt(self, flat: np.ndarray) -> None:
+        """Make the parameters the views of flat, which holds their values."""
+        views = _views(flat, [np.shape(a) for a in self.trainable()])
+        self.flat, self.weights, self.biases = flat, views[0::2], views[1::2]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -121,12 +161,14 @@ def mlp_backward(
     x: np.ndarray,
     upstream_grad: np.ndarray,
     cache: list[np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Reverse-mode gradients of sum(upstream_grad * output).
 
     Returns (grads, dx) with grads interleaved as (dW0, db0, dW1, ...)
     matching MlpParams.trainable() order; dx is the gradient with
-    respect to the input batch.
+    respect to the input batch. The grads are views into one vector
+    laid out like params.flat: out if given, else a fresh one.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -136,12 +178,13 @@ def mlp_backward(
     if single:
         up = up[None, :]
     n_layers = len(params.weights)
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * n_layers)
+    grad = np.empty(params.flat.size) if out is None else out
+    grads = _views(grad, [a.shape for a in params.trainable()])
     delta = up  # gradient at the current layer's pre-activation
     for i in range(n_layers - 1, -1, -1):
         w = params.weights[i]
-        grads[2 * i] = cache[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
+        np.matmul(cache[i].T, delta, out=grads[2 * i])
+        np.sum(delta, axis=0, out=grads[2 * i + 1])
         # a one-column layer backpropagates by broadcasting, not an
         # outer-product matmul; either way delta is a fresh array
         delta = delta * w[:, 0] if w.shape[1] == 1 else delta @ w.T
@@ -164,12 +207,22 @@ class GaussianPolicyParams:
     Sampling draws from N(mean, diag(std^2)) and clamps into the action
     box; densities and importance ratios are always evaluated on the
     raw pre-clamp draw, which the rollout buffer must record.
+
+    Construction moves the trunk's parameters and a copy of log_std
+    into one new vector, the attribute flat: the trunk's own flat
+    becomes its head and log_std views its tail.
     """
 
     trunk: MlpParams
     log_std: np.ndarray
     action_low: np.ndarray
     action_high: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.trunk.flat.size
+        self.flat = np.concatenate([self.trunk.flat, np.ravel(self.log_std)], dtype=np.float64)
+        self.trunk._adopt(self.flat[:n])
+        self.log_std = self.flat[n:]
 
     def trainable(self) -> list[np.ndarray]:
         return [*self.trunk.trainable(), self.log_std]
@@ -255,10 +308,13 @@ def policy_logp_backward(
     up = np.asarray(upstream, dtype=np.float64)
     diff = (np.asarray(raw_action) - mean) / std
     d_mean = up[:, None] * diff / std
-    trunk_grads, _ = mlp_backward(params.trunk, obs, d_mean, cache=cache)
-    d_log_std = (up[:, None] * (diff**2 - 1.0)).sum(axis=0)
+    grad = np.empty(params.flat.size)
+    n = params.trunk.flat.size
+    trunk_grads, _ = mlp_backward(params.trunk, obs, d_mean, cache=cache, out=grad[:n])
+    d_log_std = grad[n:]
+    np.sum(up[:, None] * (diff**2 - 1.0), axis=0, out=d_log_std)
     active = (params.log_std > LOG_STD_MIN) & (params.log_std < LOG_STD_MAX)
-    d_log_std = np.where(active, d_log_std, 0.0)
+    d_log_std[~active] = 0.0
     return [*trunk_grads, d_log_std]
 
 
@@ -267,11 +323,12 @@ def policy_logp_backward(
 
 @dataclass
 class AdamState:
-    """Adam accumulators and the learning rate; trainers that decay the
-    rate set base_lr before each iteration."""
+    """Adam accumulators, one vector each laid out like the net's flat,
+    and the learning rate; trainers that decay the rate set base_lr
+    before each iteration."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int
     base_lr: float
     beta1: float = 0.9
@@ -280,45 +337,45 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], base_lr: float) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            step=0,
-            base_lr=base_lr,
-        )
+        n = sum(p.size for p in params)
+        return cls(m=np.zeros(n), v=np.zeros(n), step=0, base_lr=base_lr)
 
 
 def adam_step(
     state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """One update, in place on params; returns params for chaining."""
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ValueError("params/grads length mismatch with optimizer state")
+    """One update, in place on params; returns params for chaining.
+
+    params is a net's trainable() list and grads the aligned list from
+    its backward pass. Each list must be the views of one vector, and
+    the update runs on the two vectors whole.
+    """
+    p, g = _vector_of(params), _vector_of(grads)
+    if p.shape != state.m.shape or [a.shape for a in params] != [a.shape for a in grads]:
+        raise ValueError("params/grads layout mismatch with optimizer state")
     lr = state.base_lr
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.step
     bias2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError("gradient shape mismatch")
-        # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps) in the same
-        # operation order, through two scratch arrays
-        step, denom = np.empty_like(p), np.empty_like(p)
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=step)
-        m += step
-        v *= b2
-        np.square(g, out=step)
-        step *= 1.0 - b2
-        v += step
-        np.divide(m, bias1, out=step)
-        step *= lr
-        np.divide(v, bias2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        step /= denom
-        p -= step
+    m, v = state.m, state.v
+    # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps) in the same
+    # operation order, through two scratch vectors
+    step, denom = np.empty_like(p), np.empty_like(p)
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=step)
+    m += step
+    v *= b2
+    np.square(g, out=step)
+    step *= 1.0 - b2
+    v += step
+    np.divide(m, bias1, out=step)
+    step *= lr
+    np.divide(v, bias2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    p -= step
     return params
 
 
@@ -364,8 +421,8 @@ def mlp_from_arrays(
     weights, biases = [], []
     i = 0
     while f"{prefix}_w{i}" in arrays:
-        weights.append(np.array(arrays[f"{prefix}_w{i}"], dtype=np.float64))
-        biases.append(np.array(arrays[f"{prefix}_b{i}"], dtype=np.float64))
+        weights.append(arrays[f"{prefix}_w{i}"])
+        biases.append(arrays[f"{prefix}_b{i}"])
         i += 1
     if not weights:
         raise ValueError(f"no arrays under prefix {prefix!r}")
@@ -386,7 +443,7 @@ def policy_to_arrays(params: GaussianPolicyParams) -> dict[str, np.ndarray]:
 def policy_from_arrays(arrays: dict[str, np.ndarray]) -> GaussianPolicyParams:
     return GaussianPolicyParams(
         trunk=mlp_from_arrays("policy", arrays),
-        log_std=np.array(arrays["policy_log_std"], dtype=np.float64),
+        log_std=arrays["policy_log_std"],
         action_low=np.array(arrays["policy_action_low"], dtype=np.float64),
         action_high=np.array(arrays["policy_action_high"], dtype=np.float64),
     )

@@ -216,8 +216,9 @@ def finetune(config_path, run_dir, out_dir, seed, force):
     _echo_config(cfg)
     problem = build_problem(cfg)
     policy, meta = _load_policy(os.path.join(run_dir, "policy.ckpt"))
-    value, _ = _load_value(os.path.join(run_dir, "value.ckpt"))
-    _check_hash(meta, cfg, force, "checkpoint")
+    value, vmeta = _load_value(os.path.join(run_dir, "value.ckpt"))
+    _check_hash(meta, cfg, force, "policy checkpoint")
+    _check_hash(vmeta, cfg, force, "value checkpoint")
     if meta.get("algorithm") != "rcppo":
         raise click.ClickException("phase 2 applies to budget-conditioned checkpoints only")
     os.makedirs(out_dir, exist_ok=True)
@@ -241,11 +242,13 @@ def finetune(config_path, run_dir, out_dir, seed, force):
 @click.option("--scan", type=int, default=33, show_default=True,
               help="points for the monotonicity pre-scan (0 disables)")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def bisect(value_path, state, y_flag, tol, scan, config_path):
+@click.option("--force", is_flag=True, help="ignore config hash mismatches")
+def bisect(value_path, state, y_flag, tol, scan, config_path, force):
     """Find the smallest feasible budget at a state from a value checkpoint."""
     cfg = load_config(config_path)
     problem = build_problem(cfg)
     value, meta = _load_value(value_path)
+    _check_hash(meta, cfg, force, "value checkpoint")
     x = _parse_state(state, problem.state_dim)
     fn = rcppo.value_fn_from(value, meta)
     try:
@@ -271,11 +274,13 @@ def bisect(value_path, state, y_flag, tol, scan, config_path):
 @click.option("--samples", type=int, default=512, show_default=True)
 @click.option("--tol", type=float, default=1e-2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-def fit_zmap(config_path, value_path, out_path, samples, tol, seed):
+@click.option("--force", is_flag=True, help="ignore config hash mismatches")
+def fit_zmap(config_path, value_path, out_path, samples, tol, seed, force):
     """Distill per-state minimal budgets into a small regressor."""
     cfg = load_config(config_path)
     problem = build_problem(cfg)
     value, meta = _load_value(value_path)
+    _check_hash(meta, cfg, force, "value checkpoint")
     fn = rcppo.value_fn_from(value, meta)
     try:
         reg = rcppo.fit_z_regressor(fn, problem, meta, n_samples=samples, tol=tol, seed=seed)

@@ -407,7 +407,7 @@ def ppo_policy_loss(
         log_std_active = (policy.log_std > approx.LOG_STD_MIN) & (
             policy.log_std < approx.LOG_STD_MAX
         )
-        grads[-1] = grads[-1] - entropy_coef * log_std_active.astype(np.float64)
+        grads[-1] -= entropy_coef * log_std_active.astype(np.float64)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         kl_terms = (r - 1.0) - np.log(r)
@@ -655,10 +655,9 @@ def finetune_phase2(
         gamma = min(1.0 - 1e-9, 0.5 * (bound + 1.0))
     goal_params = AugmentedGoalParams(big_c=big_c)
 
+    # construction copies the phase-1 parameters into a new vector
     value_params = approx.MlpParams(
-        weights=[w.copy() for w in value_params.weights],
-        biases=[b.copy() for b in value_params.biases],
-        activation=value_params.activation,
+        value_params.weights, value_params.biases, value_params.activation
     )
     val_adam = approx.AdamState.for_params(value_params.trainable(), cfg.lr)
     roll_cfg = Phase1Config(n_envs=cfg.n_envs, z_min=meta["z_min"])
@@ -691,18 +690,29 @@ def finetune_phase2(
 # -- budget search ---------------------------------------------------------------
 
 
-# Each bisection round asks for every midpoint of the next _TREE_LEVELS
-# levels of each unfinished state's bisection tree in one value call:
-# _TREE_NODES budgets per state, in heap order (node k's children are
-# 2k + 1, below the midpoint, and 2k + 2, above it).
+# Each bisection round asks for every midpoint of the next few levels of
+# each unfinished state's bisection tree in one value call: 2**levels - 1
+# budgets per state, in heap order (node k's children are 2k + 1, below
+# the midpoint, and 2k + 2, above it). The walk takes one node per
+# level, so a deeper tree saves calls but pays for nodes it never takes.
+# A round uses the deepest tree, of at most _TREE_LEVELS levels, whose
+# nodes for all unfinished states fit one _FORWARD_ROWS-row forward:
+# 1 to 36 states get 3 levels, 37 to 85 get 2, and more get 1.
 _TREE_LEVELS = 3
-_TREE_NODES = 2**_TREE_LEVELS - 1
 
 
-def _tree_midpoints(lo: float, hi: float) -> list[float]:
-    """Midpoints of the top _TREE_LEVELS levels of [lo, hi]'s bisection tree."""
+def _tree_levels(n_states: int) -> int:
+    """floor(log2(_FORWARD_ROWS / n_states + 1)), clamped to [1, _TREE_LEVELS]."""
+    levels = _TREE_LEVELS
+    while levels > 1 and n_states * (2**levels - 1) > _FORWARD_ROWS:
+        levels -= 1
+    return levels
+
+
+def _tree_midpoints(lo: float, hi: float, nodes: int) -> list[float]:
+    """Midpoints of the first nodes nodes of [lo, hi]'s bisection tree."""
     brackets, mids = [(lo, hi)], []
-    for k in range(_TREE_NODES):
+    for k in range(nodes):
         a, b = brackets[k]
         mid = 0.5 * (a + b)
         mids.append(mid)
@@ -769,14 +779,15 @@ def _bisect(value_fn, x, y, rows: bool, z_min, z_max, tol, scan_points):
             brackets[i] = [lo, hi, v_hi, 0]
     active = [i for i in brackets if hi - lo > tol]
     while active:
-        trees = [_tree_midpoints(*brackets[i][:2]) for i in active]
-        v = values_at(active, _TREE_NODES, [m for mids in trees for m in mids])
+        nodes = 2 ** _tree_levels(len(active)) - 1
+        trees = [_tree_midpoints(*brackets[i][:2], nodes) for i in active]
+        v = values_at(active, nodes, [m for mids in trees for m in mids])
         still = []
         for j, (i, mids) in enumerate(zip(active, trees)):
             a, b, v_b, it = brackets[i]
-            base, k = j * _TREE_NODES, 0
+            base, k = j * nodes, 0
             # the walk down takes the midpoints one-at-a-time bisection would
-            while k < _TREE_NODES and b - a > tol and it < max_iter:
+            while k < nodes and b - a > tol and it < max_iter:
                 if v[base + k] <= 0.0:
                     b, v_b = mids[k], v[base + k]
                     k = 2 * k + 1
@@ -814,11 +825,14 @@ def bisect_z_star(
 
     The first call asks for (z_min, z_max), or for the whole sweep,
     whose ends stand in for them. Each further call asks for every
-    midpoint of the next _TREE_LEVELS levels of the bisection tree, and
-    the walk down it takes the midpoints one-at-a-time bisection would
-    (v <= 0 moves hi to the midpoint, otherwise lo; stop once
+    midpoint of the next _TREE_LEVELS (3) levels of the bisection tree,
+    and the walk down it takes the midpoints one-at-a-time bisection
+    would (v <= 0 moves hi to the midpoint, otherwise lo; stop once
     hi - lo <= tol or after max_iter midpoints), so the result is the
-    same. v_at_zstar is the value already computed at hi.
+    same. v_at_zstar is the value already computed at hi. Searches over
+    many states at once (fit_z_regressor) ask for fewer levels per call
+    while the unfinished states' midpoints would overflow one value
+    forward (see _tree_levels); the results do not change.
 
     Raises:
         Infeasible: value at z_max is still positive.
@@ -904,10 +918,12 @@ def fit_z_regressor(
     hold, fit = perm[:n_hold], perm[n_hold:]
 
     net = approx.mlp_init((inp.shape[1], *hidden, 1), rng)
-    adam = approx.AdamState.for_params(net.trainable(), lr)
+    params = net.trainable()
+    adam = approx.AdamState.for_params(params, lr)
+    inp_fit, targets_fit = inp[fit], targets[fit]
     for _ in range(epochs):
-        _, grads = value_loss(net, inp[fit], targets[fit], 1.0)
-        approx.adam_step(adam, net.trainable(), grads)
+        _, grads = value_loss(net, inp_fit, targets_fit, 1.0)
+        approx.adam_step(adam, params, grads)
 
     pred_hold = approx.mlp_forward(net, inp[hold])[:, 0]
     mae = float(np.mean(np.abs(pred_hold - targets[hold]))) * (z_max - z_min)

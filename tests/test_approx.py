@@ -216,27 +216,62 @@ def test_log_std_clamp_freezes_gradients_outside_the_window():
 # -- optimizer ---------------------------------------------------------------------
 
 
+def _one_vector(*arrays):
+    """(W, b, ...) copied into one vector, laid out as trainable() is."""
+    return approx.MlpParams(list(arrays[0::2]), list(arrays[1::2])).trainable()
+
+
 def test_first_adam_update_moves_by_roughly_the_learning_rate():
-    rng = _rng(8)
-    params = [np.zeros(3)]
+    params = _one_vector(np.zeros((1, 2)), np.zeros(2))
     state = approx.AdamState.for_params(params, base_lr=1e-2)
-    grads = [np.array([1.0, -2.0, 0.5])]
+    grads = _one_vector(np.array([[1.0, -2.0]]), np.array([0.5, -3.0]))
     approx.adam_step(state, params, grads)
-    assert np.allclose(params[0], -1e-2 * np.sign(grads[0]), atol=1e-6)
+    for p, g in zip(params, grads):
+        assert np.allclose(p, -1e-2 * np.sign(g), atol=1e-6)
+
+
+def test_adam_refuses_arrays_that_are_not_views_of_one_vector():
+    params = _one_vector(np.zeros((1, 2)), np.zeros(2))
+    state = approx.AdamState.for_params(params, base_lr=1e-2)
+    separate = [np.ones((1, 2)), np.ones(2)]
+    with pytest.raises(ValueError, match="views of one"):
+        approx.adam_step(state, params, separate)
+    with pytest.raises(ValueError, match="views of one"):
+        approx.adam_step(state, separate, _one_vector(*separate))
+    with pytest.raises(ValueError, match="layout mismatch"):
+        approx.adam_step(state, params, _one_vector(np.ones((2, 1)), np.ones(1)))
 
 
 def test_adam_steps_equal_the_textbook_update():
     rng = _rng(9)
     # parameters at the scale of one step, so the step's last bit shows
-    params = [1e-3 * rng.normal(size=(6, 4)), 1e-3 * rng.normal(size=4)]
+    params = _one_vector(1e-3 * rng.normal(size=(6, 4)), 1e-3 * rng.normal(size=4))
     state = approx.AdamState.for_params(params, base_lr=3e-3)
     want = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
     for step in range(1, 4):
-        grads = [rng.normal(size=p.shape) for p in params]
+        grads = _one_vector(*(rng.normal(size=p.shape) for p in params))
         approx.adam_step(state, params, grads)
         want = [adam_reference(p, g, m, v, step, 3e-3) for (p, m, v), g in zip(want, grads)]
-        for p, m, v, (wp, wm, wv) in zip(params, state.m, state.v, want):
-            assert np.array_equal(p, wp) and np.array_equal(m, wm) and np.array_equal(v, wv)
+        for got, expected in zip((params, state.m, state.v), zip(*want)):
+            flat = np.concatenate([np.ravel(a) for a in expected])
+            assert np.array_equal(np.concatenate([np.ravel(a) for a in got]), flat)
+
+
+def test_every_trainable_array_is_a_view_of_its_nets_one_vector(tmp_path):
+    rng = _rng(12)
+    value = approx.mlp_init((4, 16, 16, 1), rng)
+    policy = approx.policy_init(3, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), rng, hidden=(8,))
+    path = str(tmp_path / "p.ckpt")
+    approx.save_checkpoint(path, approx.policy_to_arrays(policy), {})
+    loaded = approx.policy_from_arrays(approx.load_checkpoint(path)[0])
+    for net in (value, policy, loaded, approx.MlpParams(value.weights, value.biases)):
+        arrays = net.trainable()
+        assert net.flat.ndim == 1 and net.flat.size == sum(a.size for a in arrays)
+        assert all(np.shares_memory(a, net.flat) for a in arrays)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), net.flat)
+    # the trunk's vector is the head of the policy's, and copies share nothing
+    assert np.shares_memory(policy.trunk.flat, policy.flat)
+    assert not np.shares_memory(approx.MlpParams(value.weights, value.biases).flat, value.flat)
 
 
 # -- checkpoints -------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -398,6 +399,47 @@ def test_value_checkpoint_hash_is_checked_like_the_policy(
     assert forced.exit_code == 0, forced.output
     # a checkpoint that carries no hash loads without --force
     unstamped = run(halfway_value)
+    assert unstamped.exit_code == 0, unstamped.output
+
+
+@pytest.fixture(scope="module")
+def value_runs(rcppo_run, tmp_path_factory):
+    """Copies of rcppo_run whose value.ckpt carries a foreign hash, or none."""
+    arrays, meta = approx.load_checkpoint(f"{rcppo_run}/value.ckpt")
+    meta.pop("config_hash")
+    runs = {}
+    for name, stamp in (("foreign", {"config_hash": "0" * 64}), ("unstamped", {})):
+        run_dir = tmp_path_factory.mktemp(name)
+        shutil.copy(f"{rcppo_run}/policy.ckpt", run_dir)
+        approx.save_checkpoint(str(run_dir / "value.ckpt"), arrays, dict(meta, **stamp))
+        runs[name] = str(run_dir)
+    return runs
+
+
+@pytest.mark.parametrize("command", ["bisect", "fit-zmap", "finetune"])
+def test_every_value_load_checks_the_config_hash(
+    command, tiny_cfg, halfway_value, foreign_value, value_runs, tmp_path
+):
+    def run(which, *extra):
+        if command == "finetune":
+            args = [command, "--config", tiny_cfg, "--run", value_runs[which],
+                    "--out", str(tmp_path / "p2")]
+        else:
+            args = [command, "--value", foreign_value if which == "foreign" else halfway_value]
+            if command == "bisect":
+                args += ["--state", "1.0,0.0"]
+            else:
+                args += ["--out", str(tmp_path / "z.ckpt"), "--samples", "16"]
+        return CliRunner().invoke(cli.main, [*args, *extra])
+
+    refused = run("foreign")
+    assert refused.exit_code == 1
+    assert "value checkpoint was produced under config hash 000000000000" in refused.output
+    assert "pass --force" in refused.output
+    forced = run("foreign", "--force")
+    assert forced.exit_code == 0, forced.output
+    # a checkpoint that carries no hash loads without --force
+    unstamped = run("unstamped")
     assert unstamped.exit_code == 0, unstamped.output
 
 

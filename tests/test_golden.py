@@ -26,8 +26,9 @@ import json
 import numpy as np
 import pytest
 
-from reachbudget import baselines, rcppo, reachval
+from reachbudget import baselines, cli, rcppo, reachval
 from reachbudget.augment import AugmentedGoalParams
+from reachbudget.config import load_config
 from reachbudget.envkit import (
     ControlNoiseWrapper,
     NoiseWrapperConfig,
@@ -140,7 +141,7 @@ def _run_evaluate(env, source):
     return (report,)
 
 
-def _run_zmap(env):
+def _zmap(env):
     # decreasing in z, with a root past z_max (Infeasible) for the
     # states farthest from the origin
     problem = ENVS[env]()
@@ -150,9 +151,13 @@ def _run_zmap(env):
         r2 = np.sum((np.asarray(x) / problem.obs_scale) ** 2, axis=-1)
         return 1.2 * meta["z_max"] * r2 + 100.0 * y - z
 
-    reg = rcppo.fit_z_regressor(
+    return rcppo.fit_z_regressor(
         value_fn, problem, meta, n_samples=64, tol=0.5, seed=3, hidden=(16, 16), epochs=40
     )
+
+
+def _run_zmap(env):
+    reg = _zmap(env)
     return (reg.net.trainable(), reg.holdout_mae, reg.n_infeasible)
 
 
@@ -307,3 +312,34 @@ PINS = {
 def test_short_runs_match_their_pinned_digests(case):
     fn, *args = CASES[case]
     assert _digest(*fn(*args)) == PINS[case]
+
+
+# sha256 of the checkpoint files the CLI writes for seeded nets: the
+# phase-1 policy and value of the short pendulum run above and the
+# pendulum budget regressor. Captured while each net still held its
+# arrays one per layer, so moving the parameters into one vector must
+# leave the saved bytes alone.
+CHECKPOINT_PINS = {
+    "policy": "13effa5c8a8624e4cf1a46232f61d75fdaf7691845a5106e2df837e3d9db53ad",
+    "value": "e9937e02b65df71fcf24683c430a68f9007b73a439d4f9a6692588a175b5f300",
+    "zmap": "1815e8018aaee60d40ce1ff0b750a572f343e41c46dbb04366306a47cf22cbd3",
+}
+
+
+def _save_checkpoint(kind, path):
+    if kind == "zmap":
+        cli._save_regressor(path, _zmap("pendulum"), load_config(None))
+        return
+    res = _phase1("pendulum")
+    if kind == "policy":
+        cli._save_policy(path, res.policy, res.meta)
+    else:
+        cli._save_value(path, res.value, res.meta)
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKPOINT_PINS))
+def test_saved_checkpoints_match_their_pinned_digests(kind, tmp_path):
+    path = str(tmp_path / f"{kind}.ckpt")
+    _save_checkpoint(kind, path)
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == CHECKPOINT_PINS[kind]

@@ -725,6 +725,39 @@ def test_many_states_match_per_state_calls_on_random_roots(roots, tol, scan_poin
     _assert_many_states_match_per_state_calls(roots, [-1.0] * len(roots), tol, scan_points)
 
 
+# roots on the tree's own midpoints as well as anywhere in and past [0, 10]
+_ROOT = st.one_of(st.floats(-2.0, 12.0), st.sampled_from([0.0, 2.5, 3.75, 5.0, 7.5, 8.75, 10.0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    n_states=st.sampled_from([20, 60, 300]),  # 3, 2 and 1 tree levels per call
+    tol=st.floats(1e-12, 20.0),
+    scan_points=st.sampled_from([0, 5]),
+)
+def test_many_states_match_per_state_calls_at_every_tree_depth(data, n_states, tol, scan_points):
+    roots = data.draw(st.lists(_ROOT, min_size=n_states, max_size=n_states))
+    flags = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n_states, max_size=n_states))
+    _assert_many_states_match_per_state_calls(roots, flags, tol, scan_points)
+
+
+@pytest.mark.parametrize("n_states, levels", [(1, 3), (36, 3), (37, 2), (85, 2), (86, 1), (300, 1)])
+def test_each_round_asks_for_the_deepest_tree_that_fits_one_forward(n_states, levels):
+    asked = []
+
+    def value(x, y, z):
+        asked.append(len(z))
+        return _rooted_at_first_column(x, y, z)
+
+    roots = np.linspace(0.5, 9.5, n_states)[:, None]
+    sols = rcppo._bisect(value, roots, np.zeros(n_states), True, 0.0, 10.0, 1e-3, 0)
+    # every bracket halves from width 10 to 10 / 2**14 <= 1e-3 together
+    assert {sol.iterations for sol in sols} == {14}
+    per_round = n_states * (2**levels - 1)
+    assert asked == [2 * n_states] + [per_round] * math.ceil(14 / levels)
+
+
 # -- z* regression ---------------------------------------------------------------------
 
 
