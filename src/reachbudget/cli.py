@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import zipfile
 
 import click
 import numpy as np
@@ -22,20 +23,14 @@ from .config import (
 )
 from .envkit import two_start_bandit_make
 
-LOG_COLUMNS = [
-    "iteration", "env_steps", "reach_rate", "mean_cost_reached",
-    "policy_loss", "value_loss", "entropy", "kl_estimate",
-]
-
-
 def write_log_csv(path: str, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
+        writer.writerow(rcppo.LOG_COLUMNS)
         for row in rows:
             writer.writerow([
                 repr(row[c]) if isinstance(row[c], float) else row[c]
-                for c in LOG_COLUMNS
+                for c in rcppo.LOG_COLUMNS
             ])
 
 
@@ -68,67 +63,64 @@ def write_trajectory_csv(path: str, traj: rcppo.Trajectory, problem) -> None:
             writer.writerow(row)
 
 
-def _save_policy(path: str, policy: approx.GaussianPolicyParams, meta: dict) -> None:
-    approx.save_checkpoint(path, approx.policy_to_arrays(policy), meta)
+# artifact kind -> (its name in the hash refusal, in the wrong-kind refusal)
+_KINDS = {
+    "policy": ("policy checkpoint", "a policy checkpoint"),
+    "value": ("value checkpoint", "a value checkpoint"),
+    "zmap": ("budget regressor", "a budget-regressor checkpoint"),
+}
+# the ZRegressor fields a budget-regressor checkpoint keeps in its meta
+_ZMAP_FIELDS = ("z_min", "z_max", "holdout_mae", "n_infeasible")
 
 
-def _load_policy(path: str) -> tuple[approx.GaussianPolicyParams, dict]:
-    arrays, meta = approx.load_checkpoint(path)
-    return approx.policy_from_arrays(arrays), meta
+def save_artifact(path: str, obj, meta: dict) -> None:
+    """Write a policy, value net or budget regressor with its meta.
 
-
-def _save_value(path: str, value: approx.MlpParams, meta: dict) -> None:
-    approx.save_checkpoint(path, approx.mlp_to_arrays("value", value), meta)
-
-
-def _load_value(path: str) -> tuple[approx.MlpParams, dict]:
-    arrays, meta = approx.load_checkpoint(path)
-    return approx.mlp_from_arrays("value", arrays), meta
-
-
-def _save_regressor(path: str, reg: rcppo.ZRegressor, cfg: dict) -> None:
-    arrays = approx.mlp_to_arrays("zmap", reg.net)
-    arrays["zmap_obs_scale"] = reg.obs_scale
-    meta = {
-        "kind": "z_regressor",
-        "z_min": reg.z_min,
-        "z_max": reg.z_max,
-        "holdout_mae": reg.holdout_mae,
-        "n_infeasible": reg.n_infeasible,
-        "config_hash": config_hash(cfg),
-    }
+    The array names carry the kind (policy_*, value_*, zmap_*). A
+    regressor adds its own fields and "kind": "z_regressor" to meta.
+    """
+    if isinstance(obj, approx.GaussianPolicyParams):
+        arrays = approx.policy_to_arrays(obj)
+    elif isinstance(obj, rcppo.ZRegressor):
+        arrays = dict(approx.mlp_to_arrays("zmap", obj.net), zmap_obs_scale=obj.obs_scale)
+        meta = dict(meta, kind="z_regressor", **{f: getattr(obj, f) for f in _ZMAP_FIELDS})
+    else:
+        arrays = approx.mlp_to_arrays("value", obj)
     approx.save_checkpoint(path, arrays, meta)
 
 
-def _load_regressor(path: str) -> tuple[rcppo.ZRegressor, dict]:
-    arrays, meta = approx.load_checkpoint(path)
-    if meta.get("kind") != "z_regressor":
-        raise click.ClickException(f"{path} is not a budget-regressor checkpoint")
-    scale = arrays.pop("zmap_obs_scale")
-    reg = rcppo.ZRegressor(
-        net=approx.mlp_from_arrays("zmap", arrays),
-        obs_scale=scale,
-        z_min=meta["z_min"],
-        z_max=meta["z_max"],
-        holdout_mae=meta["holdout_mae"],
-        n_infeasible=meta["n_infeasible"],
-    )
-    return reg, meta
+def load_artifact(path: str, kind: str, cfg: dict, force: bool):
+    """(object, meta) from a "policy", "value" or "zmap" checkpoint.
 
-
-def _echo_config(cfg: dict) -> None:
-    click.echo(yaml.safe_dump(cfg, sort_keys=True).rstrip())
-    click.echo(f"config_hash: {config_hash(cfg)}")
-
-
-def _check_hash(meta: dict, cfg: dict, force: bool, what: str) -> None:
-    stored = meta.get("config_hash")
-    current = config_hash(cfg)
+    The kind is read from the array names. An unreadable file and a
+    file of another kind are refused; so is a config hash other than
+    cfg's, unless force. A file that carries no hash loads as it is.
+    """
+    what, kind_name = _KINDS[kind]
+    try:
+        arrays, meta = approx.load_checkpoint(path)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise click.ClickException(f"cannot read {path}: {exc}") from exc
+    if f"{kind}_w0" not in arrays:
+        raise click.ClickException(f"{path} is not {kind_name}")
+    stored, current = meta.get("config_hash"), config_hash(cfg)
     if stored is not None and stored != current and not force:
         raise click.ClickException(
             f"{what} was produced under config hash {stored[:12]}..., current is "
             f"{current[:12]}...; pass --force to use it anyway"
         )
+    if kind == "policy":
+        return approx.policy_from_arrays(arrays), meta
+    net = approx.mlp_from_arrays(kind, arrays)
+    if kind == "value":
+        return net, meta
+    fields = {f: meta[f] for f in _ZMAP_FIELDS}
+    return rcppo.ZRegressor(net=net, obs_scale=arrays["zmap_obs_scale"], **fields), meta
+
+
+def _echo_config(cfg: dict) -> None:
+    click.echo(yaml.safe_dump(cfg, sort_keys=True).rstrip())
+    click.echo(f"config_hash: {config_hash(cfg)}")
 
 
 def _parse_state(text: str, dim: int) -> np.ndarray:
@@ -141,20 +133,24 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _z_source_from_options(cfg, z, zmap, value, tol, force):
-    """Mutually exclusive budget sources for deploy/evaluate."""
+def _z_source_from_options(cfg, meta, z, zmap, value, tol, force):
+    """The budget source for deploy/evaluate from mutually exclusive options.
+
+    A budget-conditioned policy, by its meta, must be given one.
+    """
     given = [opt for opt in (z, zmap, value) if opt is not None]
     if len(given) > 1:
         raise click.ClickException("pass at most one of --z, --zmap, --value")
+    if not given and rcppo.budget_conditioned(meta):
+        raise click.ClickException(
+            "budget-conditioned policy needs a budget: pass --z, --zmap, or --value"
+        )
     if z is not None:
         return float(z)
     if zmap is not None:
-        reg, zmeta = _load_regressor(zmap)
-        _check_hash(zmeta, cfg, force, "budget regressor")
-        return reg
+        return load_artifact(zmap, "zmap", cfg, force)[0]
     if value is not None:
-        val_params, vmeta = _load_value(value)
-        _check_hash(vmeta, cfg, force, "value checkpoint")
+        val_params, vmeta = load_artifact(value, "value", cfg, force)
         fn = rcppo.value_fn_from(val_params, vmeta)
         if tol is None:
             tol = cfg["eval"]["tol"]
@@ -191,8 +187,8 @@ def train(config_path, out_dir, seed, algorithm):
         result = baselines.train_ppo_baseline(problem, baseline_from(cfg, seed))
     meta = dict(result.meta)
     meta["config_hash"] = config_hash(cfg)
-    _save_policy(os.path.join(out_dir, "policy.ckpt"), result.policy, meta)
-    _save_value(os.path.join(out_dir, "value.ckpt"), result.value, meta)
+    save_artifact(os.path.join(out_dir, "policy.ckpt"), result.policy, meta)
+    save_artifact(os.path.join(out_dir, "value.ckpt"), result.value, meta)
     write_log_csv(os.path.join(out_dir, "train_log.csv"), result.log_rows)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump({"config": cfg, "hash": config_hash(cfg)}, fh, indent=1, sort_keys=True)
@@ -215,18 +211,16 @@ def finetune(config_path, run_dir, out_dir, seed, force):
     cfg = load_config(config_path)
     _echo_config(cfg)
     problem = build_problem(cfg)
-    policy, meta = _load_policy(os.path.join(run_dir, "policy.ckpt"))
-    value, vmeta = _load_value(os.path.join(run_dir, "value.ckpt"))
-    _check_hash(meta, cfg, force, "policy checkpoint")
-    _check_hash(vmeta, cfg, force, "value checkpoint")
-    if meta.get("algorithm") != "rcppo":
+    policy, meta = load_artifact(os.path.join(run_dir, "policy.ckpt"), "policy", cfg, force)
+    value, _ = load_artifact(os.path.join(run_dir, "value.ckpt"), "value", cfg, force)
+    if not rcppo.budget_conditioned(meta):
         raise click.ClickException("phase 2 applies to budget-conditioned checkpoints only")
     os.makedirs(out_dir, exist_ok=True)
     value2, rows, meta2 = rcppo.finetune_phase2(
         problem, policy, value, meta, phase2_from(cfg, seed)
     )
     meta2["config_hash"] = config_hash(cfg)
-    _save_value(os.path.join(out_dir, "value_phase2.ckpt"), value2, meta2)
+    save_artifact(os.path.join(out_dir, "value_phase2.ckpt"), value2, meta2)
     write_log_csv(os.path.join(out_dir, "finetune_log.csv"), rows)
     click.echo(
         f"fine-tuned value for {rows[-1]['env_steps'] if rows else 0} steps "
@@ -235,7 +229,7 @@ def finetune(config_path, run_dir, out_dir, seed, force):
 
 
 @main.command()
-@click.option("--value", "value_path", type=click.Path(exists=True), required=True)
+@click.option("--value", "value_path", type=click.Path(), required=True)
 @click.option("--state", required=True, help="comma-separated raw state")
 @click.option("--y", "y_flag", type=float, default=-1.0, show_default=True)
 @click.option("--tol", type=float, default=1e-2, show_default=True)
@@ -247,8 +241,7 @@ def bisect(value_path, state, y_flag, tol, scan, config_path, force):
     """Find the smallest feasible budget at a state from a value checkpoint."""
     cfg = load_config(config_path)
     problem = build_problem(cfg)
-    value, meta = _load_value(value_path)
-    _check_hash(meta, cfg, force, "value checkpoint")
+    value, meta = load_artifact(value_path, "value", cfg, force)
     x = _parse_state(state, problem.state_dim)
     fn = rcppo.value_fn_from(value, meta)
     try:
@@ -269,7 +262,7 @@ def bisect(value_path, state, y_flag, tol, scan, config_path, force):
 
 @main.command("fit-zmap")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--value", "value_path", type=click.Path(exists=True), required=True)
+@click.option("--value", "value_path", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--samples", type=int, default=512, show_default=True)
 @click.option("--tol", type=float, default=1e-2, show_default=True)
@@ -279,14 +272,13 @@ def fit_zmap(config_path, value_path, out_path, samples, tol, seed, force):
     """Distill per-state minimal budgets into a small regressor."""
     cfg = load_config(config_path)
     problem = build_problem(cfg)
-    value, meta = _load_value(value_path)
-    _check_hash(meta, cfg, force, "value checkpoint")
+    value, meta = load_artifact(value_path, "value", cfg, force)
     fn = rcppo.value_fn_from(value, meta)
     try:
         reg = rcppo.fit_z_regressor(fn, problem, meta, n_samples=samples, tol=tol, seed=seed)
     except (ValueError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
-    _save_regressor(out_path, reg, cfg)
+    save_artifact(out_path, reg, {"config_hash": config_hash(cfg)})
     click.echo(
         f"fit budget regressor on {samples - reg.n_infeasible} states "
         f"({reg.n_infeasible} infeasible dropped), holdout MAE {reg.holdout_mae:.4g}"
@@ -295,11 +287,11 @@ def fit_zmap(config_path, value_path, out_path, samples, tol, seed, force):
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--policy", "policy_path", type=click.Path(exists=True), required=True)
+@click.option("--policy", "policy_path", type=click.Path(), required=True)
 @click.option("--state", required=True, help="comma-separated raw start state")
 @click.option("--z", type=float, default=None, help="fixed starting budget")
-@click.option("--zmap", type=click.Path(exists=True), default=None)
-@click.option("--value", type=click.Path(exists=True), default=None,
+@click.option("--zmap", type=click.Path(), default=None)
+@click.option("--value", type=click.Path(), default=None,
               help="value checkpoint; budget found by bisection")
 @click.option("--tol", type=float, default=None, help="bisection tolerance [default: eval.tol]")
 @click.option("--out", "out_path", type=click.Path(), required=True)
@@ -308,14 +300,9 @@ def deploy(config_path, policy_path, state, z, zmap, value, tol, out_path, force
     """Roll the mode policy from one state and dump the trajectory CSV."""
     cfg = load_config(config_path)
     problem = build_problem(cfg)
-    policy, meta = _load_policy(policy_path)
-    _check_hash(meta, cfg, force, "policy checkpoint")
+    policy, meta = load_artifact(policy_path, "policy", cfg, force)
     x0 = _parse_state(state, problem.state_dim)
-    z_source = _z_source_from_options(cfg, z, zmap, value, tol, force)
-    if z_source is None and meta.get("algorithm") == "rcppo":
-        raise click.ClickException(
-            "budget-conditioned policy needs a budget: pass --z, --zmap, or --value"
-        )
+    z_source = _z_source_from_options(cfg, meta, z, zmap, value, tol, force)
     traj = rcppo.deploy_policy(problem, policy, meta, z_source, x0)
     write_trajectory_csv(out_path, traj, problem)
     click.echo(json.dumps({
@@ -330,10 +317,10 @@ def deploy(config_path, policy_path, state, z, zmap, value, tol, out_path, force
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--policy", "policy_path", type=click.Path(exists=True), required=True)
+@click.option("--policy", "policy_path", type=click.Path(), required=True)
 @click.option("--z", type=float, default=None)
-@click.option("--zmap", type=click.Path(exists=True), default=None)
-@click.option("--value", type=click.Path(exists=True), default=None)
+@click.option("--zmap", type=click.Path(), default=None)
+@click.option("--value", type=click.Path(), default=None)
 @click.option("--tol", type=float, default=None, help="bisection tolerance [default: eval.tol]")
 @click.option("--episodes", type=int, default=None, help="override eval.n_episodes")
 @click.option("--seed", type=int, default=None, help="override eval.seed")
@@ -344,13 +331,8 @@ def evaluate(config_path, policy_path, z, zmap, value, tol, episodes, seed, out_
     """Deploy over sampled starts and report reach, violation, and cost."""
     cfg = load_config(config_path)
     problem = build_problem(cfg)
-    policy, meta = _load_policy(policy_path)
-    _check_hash(meta, cfg, force, "policy checkpoint")
-    z_source = _z_source_from_options(cfg, z, zmap, value, tol, force)
-    if z_source is None and meta.get("algorithm") == "rcppo":
-        raise click.ClickException(
-            "budget-conditioned policy needs a budget: pass --z, --zmap, or --value"
-        )
+    policy, meta = load_artifact(policy_path, "policy", cfg, force)
+    z_source = _z_source_from_options(cfg, meta, z, zmap, value, tol, force)
     n = episodes if episodes is not None else cfg["eval"]["n_episodes"]
     s = seed if seed is not None else cfg["eval"]["seed"]
     report = rcppo.evaluate_policy(problem, policy, meta, z_source, n, seed=s)

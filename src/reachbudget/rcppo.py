@@ -533,18 +533,23 @@ def _stack_episodes(batch: RolloutBatch, gamma: float, lam: float, mode: str):
     )
 
 
+# the training log schema every trainer shares, in column order
+LOG_COLUMNS = (
+    "iteration", "env_steps", "reach_rate", "mean_cost_reached",
+    "policy_loss", "value_loss", "entropy", "kl_estimate",
+)
+
+
 def _log_row(
     iteration: int, env_steps: int, reach_rate: float, mean_cost_reached: float,
     losses: dict,
 ) -> dict:
-    """One training log row, in the schema every trainer shares."""
-    return {
-        "iteration": iteration,
-        "env_steps": env_steps,
-        "reach_rate": reach_rate,
-        "mean_cost_reached": mean_cost_reached,
-        **losses,
-    }
+    """One training log row, keyed by LOG_COLUMNS in order."""
+    row = dict(
+        losses, iteration=iteration, env_steps=env_steps, reach_rate=reach_rate,
+        mean_cost_reached=mean_cost_reached,
+    )
+    return {c: row[c] for c in LOG_COLUMNS}
 
 
 def _resolve_setup(
@@ -962,6 +967,11 @@ class Trajectory:
         return len(self.costs)
 
 
+def budget_conditioned(meta: dict) -> bool:
+    """Whether a policy takes the budget as input; an unnamed algorithm is rcppo."""
+    return meta.get("algorithm", "rcppo") == "rcppo"
+
+
 def _start_budget(z_source, x: np.ndarray, y: float, meta: dict) -> tuple[float, bool]:
     """(z0, infeasible_start) for one start; see deploy_policy."""
     if z_source is None:
@@ -1004,7 +1014,7 @@ def deploy_policy(
     scale = np.asarray(meta["obs_scale"], dtype=np.float64)
     if goal_params is None:
         goal_params = AugmentedGoalParams(big_c=meta.get("big_c", 1.0))
-    is_budget = meta.get("algorithm", "rcppo") == "rcppo"
+    is_budget = budget_conditioned(meta)
 
     starts, single = _as_batch(x0, problem.state_dim)
     n = starts.shape[0]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import yaml
 from click.testing import CliRunner
 
 from reachbudget import approx, cli, rcppo
-from reachbudget.cli import LOG_COLUMNS
 from reachbudget.config import config_hash, load_config
+from reachbudget.rcppo import LOG_COLUMNS
 
 TINY = {
     "train": {
@@ -112,16 +113,17 @@ def hopeless_value(tmp_path_factory):
     return str(path)
 
 
-def test_train_writes_checkpoints_log_and_config(rcppo_run, tmp_path):
-    policy, meta = cli._load_policy(f"{rcppo_run}/policy.ckpt")
+def test_train_writes_checkpoints_log_and_config(tiny_cfg, rcppo_run, tmp_path):
+    cfg = load_config(tiny_cfg)
+    policy, meta = cli.load_artifact(f"{rcppo_run}/policy.ckpt", "policy", cfg, False)
     assert meta["algorithm"] == "rcppo"
     assert meta["z_max"] == 100.0
     assert "config_hash" in meta
-    value, vmeta = cli._load_value(f"{rcppo_run}/value.ckpt")
+    value, vmeta = cli.load_artifact(f"{rcppo_run}/value.ckpt", "value", cfg, False)
     assert vmeta["config_hash"] == meta["config_hash"]
     with open(f"{rcppo_run}/train_log.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == LOG_COLUMNS
+    assert rows[0] == list(LOG_COLUMNS)
     assert len(rows) >= 2
     with open(f"{rcppo_run}/config.json") as fh:
         blob = json.load(fh)
@@ -137,8 +139,10 @@ def test_train_echoes_resolved_config_and_hash(tiny_cfg, tmp_path):
     assert "trained rcppo" in result.output
 
 
-def test_train_baseline_algorithm_is_not_budget_conditioned(baseline_run):
-    policy, meta = cli._load_policy(f"{baseline_run}/policy.ckpt")
+def test_train_baseline_algorithm_is_not_budget_conditioned(tiny_cfg, baseline_run):
+    policy, meta = cli.load_artifact(
+        f"{baseline_run}/policy.ckpt", "policy", load_config(tiny_cfg), False
+    )
     assert meta["algorithm"] == "ppo_lagrangian"
     # raw state in, no budget channel
     assert policy.trunk.weights[0].shape[0] == 2
@@ -148,11 +152,13 @@ def test_finetune_writes_second_stage_value(tiny_cfg, rcppo_run, tmp_path):
     out = tmp_path / "p2"
     result = _invoke(["finetune", "--config", tiny_cfg, "--run", rcppo_run, "--out", str(out)])
     assert "fine-tuned value" in result.output
-    value2, meta2 = cli._load_value(f"{out}/value_phase2.ckpt")
+    value2, meta2 = cli.load_artifact(
+        f"{out}/value_phase2.ckpt", "value", load_config(tiny_cfg), False
+    )
     assert 0.0 < meta2["phase2_gamma"] < 1.0
     with open(f"{out}/finetune_log.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == LOG_COLUMNS
+    assert rows[0] == list(LOG_COLUMNS)
 
 
 def test_finetune_refuses_baseline_checkpoints(tiny_cfg, baseline_run, tmp_path):
@@ -207,7 +213,7 @@ def test_fit_zmap_distills_a_constant_budget_map(halfway_value, tmp_path):
         "--samples", "32", "--seed", "1",
     ])
     assert "holdout MAE" in result.output
-    reg, _ = cli._load_regressor(str(out))
+    reg, _ = cli.load_artifact(str(out), "zmap", load_config(None), False)
     assert reg.n_infeasible == 0
     preds = rcppo.regressor_predict(reg, np.array([[0.5, 0.0], [-2.0, 3.0]]), -1.0)
     assert np.all(np.abs(preds - HALFWAY_Z) < 10.0)
@@ -223,11 +229,6 @@ def test_fit_zmap_fails_loudly_when_mostly_infeasible(hopeless_value, tmp_path):
     assert "Error: 16/16 sampled states infeasible; refusing to fit" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "z.ckpt").exists()
-
-
-def test_load_regressor_rejects_other_checkpoints(halfway_value):
-    with pytest.raises(Exception, match="not a budget-regressor checkpoint"):
-        cli._load_regressor(halfway_value)
 
 
 def test_deploy_writes_trajectory_csv_with_blank_trailing_action(
@@ -379,9 +380,67 @@ def foreign_value(halfway_value, tmp_path_factory):
     return str(path)
 
 
+NOT_A = {
+    "policy": "is not a policy checkpoint",
+    "value": "is not a value checkpoint",
+    "zmap": "is not a budget-regressor checkpoint",
+}
+
+
+@pytest.fixture(scope="module")
+def bad_files(rcppo_run, halfway_value, tmp_path_factory):
+    """By the kind a load expects: {case: (file, file)} for a file of
+    another kind, a text file, a zip without meta.json, a missing file."""
+    out = tmp_path_factory.mktemp("bad")
+    (out / "notes.txt").write_text("not a checkpoint\n")
+    with zipfile.ZipFile(out / "no_meta.ckpt", "w") as zf:
+        zf.writestr("value_w0.npy", b"")
+    common = {
+        case: (str(out / name), str(out / name))
+        for case, name in (("text", "notes.txt"), ("no_meta", "no_meta.ckpt"),
+                           ("missing", "missing.ckpt"))
+    }
+    other = {
+        "policy": f"{rcppo_run}/value.ckpt",
+        "value": f"{rcppo_run}/policy.ckpt",
+        "zmap": halfway_value,
+    }
+    return {kind: dict(common, wrong_kind=(path, path)) for kind, path in other.items()}
+
+
+@pytest.fixture(scope="module")
+def bad_runs(rcppo_run, bad_files, tmp_path_factory):
+    """For finetune: {case: (run dir, file)}, copies of rcppo_run whose
+    policy.ckpt or value.ckpt is the bad file of that case."""
+    runs = {}
+    for kind in ("policy", "value"):
+        runs[kind] = {}
+        for case, (path, _) in bad_files[kind].items():
+            run_dir = tmp_path_factory.mktemp(f"{kind}-{case}")
+            other = "value" if kind == "policy" else "policy"
+            shutil.copy(f"{rcppo_run}/{other}.ckpt", run_dir)
+            if case != "missing":
+                shutil.copy(path, run_dir / f"{kind}.ckpt")
+            runs[kind][case] = (str(run_dir), str(run_dir / f"{kind}.ckpt"))
+    return runs
+
+
+def _assert_refuses(run, kind, cases):
+    """run(arg, *extra) exits 1 with an Error naming the file, and no
+    traceback, for every {case: (arg, file)}, with --force or without."""
+    for case, (arg, path) in cases.items():
+        for extra in ((), ("--force",)):
+            result = run(arg, *extra)
+            assert result.exit_code == 1, (case, result.output)
+            assert isinstance(result.exception, SystemExit), (case, result.exception)
+            assert "Error: " in result.output and path in result.output, (case, result.output)
+            if case == "wrong_kind":
+                assert f"{path} {NOT_A[kind]}" in result.output
+
+
 @pytest.mark.parametrize("command", ["deploy", "evaluate"])
 def test_value_checkpoint_hash_is_checked_like_the_policy(
-    command, tiny_cfg, rcppo_run, halfway_value, foreign_value, tmp_path
+    command, tiny_cfg, rcppo_run, halfway_value, foreign_value, bad_files, tmp_path
 ):
     def run(value, *extra):
         args = [
@@ -400,6 +459,7 @@ def test_value_checkpoint_hash_is_checked_like_the_policy(
     # a checkpoint that carries no hash loads without --force
     unstamped = run(halfway_value)
     assert unstamped.exit_code == 0, unstamped.output
+    _assert_refuses(run, "value", bad_files["value"])
 
 
 @pytest.fixture(scope="module")
@@ -418,29 +478,65 @@ def value_runs(rcppo_run, tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["bisect", "fit-zmap", "finetune"])
 def test_every_value_load_checks_the_config_hash(
-    command, tiny_cfg, halfway_value, foreign_value, value_runs, tmp_path
+    command, tiny_cfg, halfway_value, foreign_value, value_runs, bad_files, bad_runs,
+    tmp_path,
 ):
-    def run(which, *extra):
+    def run(arg, *extra):
         if command == "finetune":
-            args = [command, "--config", tiny_cfg, "--run", value_runs[which],
-                    "--out", str(tmp_path / "p2")]
+            args = [command, "--config", tiny_cfg, "--run", arg, "--out", str(tmp_path / "p2")]
         else:
-            args = [command, "--value", foreign_value if which == "foreign" else halfway_value]
+            args = [command, "--value", arg]
             if command == "bisect":
                 args += ["--state", "1.0,0.0"]
             else:
                 args += ["--out", str(tmp_path / "z.ckpt"), "--samples", "16"]
         return CliRunner().invoke(cli.main, [*args, *extra])
 
-    refused = run("foreign")
+    if command == "finetune":
+        foreign, unstamped, bad = value_runs["foreign"], value_runs["unstamped"], bad_runs
+    else:
+        foreign, unstamped, bad = foreign_value, halfway_value, bad_files
+    refused = run(foreign)
     assert refused.exit_code == 1
     assert "value checkpoint was produced under config hash 000000000000" in refused.output
     assert "pass --force" in refused.output
-    forced = run("foreign", "--force")
+    forced = run(foreign, "--force")
     assert forced.exit_code == 0, forced.output
     # a checkpoint that carries no hash loads without --force
-    unstamped = run("unstamped")
+    unstamped = run(unstamped)
     assert unstamped.exit_code == 0, unstamped.output
+    _assert_refuses(run, "value", bad["value"])
+
+
+@pytest.mark.parametrize("command", ["finetune", "deploy", "evaluate"])
+def test_every_policy_load_refuses_a_bad_file(
+    command, tiny_cfg, bad_files, bad_runs, tmp_path
+):
+    def run(arg, *extra):
+        if command == "finetune":
+            args = [command, "--run", arg]
+        else:
+            args = [command, "--policy", arg, "--z", "50"]
+            args += ["--state", "2.0,0.0"] if command == "deploy" else ["--episodes", "1"]
+        args += ["--config", tiny_cfg, "--out", str(tmp_path / "out"), *extra]
+        return CliRunner().invoke(cli.main, args)
+
+    _assert_refuses(run, "policy", (bad_runs if command == "finetune" else bad_files)["policy"])
+
+
+@pytest.mark.parametrize("command", ["deploy", "evaluate"])
+def test_a_policy_without_an_algorithm_needs_a_budget(command, tiny_cfg, rcppo_run, tmp_path):
+    # deploy_policy reads a meta without "algorithm" as budget-conditioned,
+    # so without a budget every episode would run at an infinite one
+    arrays, meta = approx.load_checkpoint(f"{rcppo_run}/policy.ckpt")
+    del meta["algorithm"]
+    path = str(tmp_path / "policy.ckpt")
+    approx.save_checkpoint(path, arrays, meta)
+    args = [command, "--config", tiny_cfg, "--policy", path, "--out", str(tmp_path / "out")]
+    args += ["--state", "2.0,0.0"] if command == "deploy" else ["--episodes", "1"]
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code == 1
+    assert "needs a budget" in result.output
 
 
 def test_fit_zmap_refuses_a_single_sample(halfway_value, tmp_path):
@@ -471,12 +567,14 @@ def zmaps(tiny_cfg, halfway_value, tmp_path_factory):
 
 
 def test_fit_zmap_stamps_the_config_hash(tiny_cfg, zmaps):
-    _, meta = cli._load_regressor(zmaps["zmap"])
+    _, meta = cli.load_artifact(zmaps["zmap"], "zmap", load_config(tiny_cfg), False)
     assert meta["config_hash"] == config_hash(load_config(tiny_cfg))
 
 
 @pytest.mark.parametrize("command", ["deploy", "evaluate"])
-def test_zmap_hash_is_checked_like_the_policy(command, tiny_cfg, rcppo_run, zmaps, tmp_path):
+def test_zmap_hash_is_checked_like_the_policy(
+    command, tiny_cfg, rcppo_run, zmaps, bad_files, tmp_path
+):
     def run(zmap, *extra):
         args = [
             command, "--config", tiny_cfg, "--policy", f"{rcppo_run}/policy.ckpt",
@@ -495,6 +593,8 @@ def test_zmap_hash_is_checked_like_the_policy(command, tiny_cfg, rcppo_run, zmap
     # a regressor that carries no hash loads without --force
     unstamped = run(zmaps["unstamped"])
     assert unstamped.exit_code == 0, unstamped.output
+    # a value checkpoint, among other files, is refused as a regressor
+    _assert_refuses(run, "zmap", bad_files["zmap"])
 
 
 def test_gridsearch_writes_the_sweep_table(tiny_cfg, tmp_path):

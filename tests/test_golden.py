@@ -28,7 +28,7 @@ import pytest
 
 from reachbudget import baselines, cli, rcppo, reachval
 from reachbudget.augment import AugmentedGoalParams
-from reachbudget.config import load_config
+from reachbudget.config import config_hash, load_config
 from reachbudget.envkit import (
     ControlNoiseWrapper,
     NoiseWrapperConfig,
@@ -328,13 +328,11 @@ CHECKPOINT_PINS = {
 
 def _save_checkpoint(kind, path):
     if kind == "zmap":
-        cli._save_regressor(path, _zmap("pendulum"), load_config(None))
+        meta = {"config_hash": config_hash(load_config(None))}
+        cli.save_artifact(path, _zmap("pendulum"), meta)
         return
     res = _phase1("pendulum")
-    if kind == "policy":
-        cli._save_policy(path, res.policy, res.meta)
-    else:
-        cli._save_value(path, res.value, res.meta)
+    cli.save_artifact(path, res.policy if kind == "policy" else res.value, res.meta)
 
 
 @pytest.mark.parametrize("kind", sorted(CHECKPOINT_PINS))
