@@ -5,6 +5,7 @@ import json
 import shutil
 import zipfile
 
+import click
 import numpy as np
 import pytest
 import yaml
@@ -217,6 +218,11 @@ def test_fit_zmap_distills_a_constant_budget_map(halfway_value, tmp_path):
     assert reg.n_infeasible == 0
     preds = rcppo.regressor_predict(reg, np.array([[0.5, 0.0], [-2.0, 3.0]]), -1.0)
     assert np.all(np.abs(preds - HALFWAY_Z) < 10.0)
+
+
+def test_load_regressor_rejects_other_checkpoints(halfway_value):
+    with pytest.raises(click.ClickException, match="not a budget-regressor checkpoint"):
+        cli.load_artifact(halfway_value, "zmap", load_config(None), True)
 
 
 def test_fit_zmap_fails_loudly_when_mostly_infeasible(hopeless_value, tmp_path):
