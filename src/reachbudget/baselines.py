@@ -19,7 +19,7 @@ from . import BLAS_THREAD_VARS, approx
 from .augment import start_flag
 from .envkit.base import ReachAvoidProblem
 from .envkit.tabular import TabularMDP
-from .rcppo import TrainResult, _log_row, _ppo_update, _run_lanes
+from .rcppo import TrainResult, _init_nets, _run_lanes, _train_loop
 
 
 @dataclass
@@ -130,14 +130,7 @@ def train_ppo_baseline(problem: ReachAvoidProblem, cfg: BaselineConfig) -> Train
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     scale = problem.obs_scale
     rcfg = cfg.reward
-    obs_dim = problem.state_dim
-    policy = approx.policy_init(
-        obs_dim, problem.action_low, problem.action_high, rng,
-        hidden=cfg.hidden, init_log_std=cfg.init_log_std,
-    )
-    value_params = approx.mlp_init((obs_dim, *cfg.hidden, 1), rng)
-    pol_adam = approx.AdamState.for_params(policy.trainable(), cfg.lr)
-    val_adam = approx.AdamState.for_params(value_params.trainable(), cfg.lr)
+    policy, value_params, pol_adam, val_adam = _init_nets(problem, problem.state_dim, cfg, rng)
     # keeps the regression target O(1) at the largest per-step rewards
     val_scale = max(
         1.0, rcfg.r_goal, rcfg.p_goal,
@@ -165,24 +158,14 @@ def train_ppo_baseline(problem: ReachAvoidProblem, cfg: BaselineConfig) -> Train
         vals = approx.mlp_forward(value_params, obs)[:, 0] * val_scale
         return u, (obs, u, raw, logp, vals)
 
-    log_rows: list[dict] = []
-    env_steps = 0
-    iteration = 0
-    while env_steps < cfg.total_steps:
-        frac = env_steps / cfg.total_steps
-        pol_adam.base_lr = cfg.lr * (1.0 - frac)
-        val_adam.base_lr = cfg.lr * (1.0 - frac)
-        ent_now = cfg.entropy_coef * (1.0 - frac)
-
+    def collect():
         x0 = np.atleast_2d(problem.sample_initial(rng, cfg.n_envs))
         run = _run_lanes(
             problem, x0, start_flag(problem, x0),
             np.full(cfg.n_envs, np.inf), act, lambda x, y, z: problem.in_goal(x),
         )
-        env_steps += len(run.costs)
-        iteration += 1
         if not run.records:
-            continue
+            return 0, math.nan, math.nan, None
         obs, u, raw, logp, vals = run.records
         # each lane's transitions: every state row but its last, to every
         # state row but its first
@@ -203,19 +186,16 @@ def train_ppo_baseline(problem: ReachAvoidProblem, cfg: BaselineConfig) -> Train
             adv, ret = _reward_gae(rew[steps], vals[steps], tail, cfg.gamma, cfg.lam)
             adv_parts.append(adv)
             ret_parts.append(ret)
-        adv = np.concatenate(adv_parts)
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-
-        losses = _ppo_update(
-            cfg, rng, iteration, obs, np.concatenate(ret_parts),
-            value_params, val_adam, val_scale,
-            policy=(policy, pol_adam, raw, logp, adv, ent_now),
-        )
         reached_costs = [c for c, r in zip(ep_costs, run.reached) if r]
-        log_rows.append(_log_row(
-            iteration, env_steps, float(np.mean(run.reached)),
-            float(np.mean(reached_costs)) if reached_costs else math.nan, losses,
-        ))
+        return (
+            len(run.costs), float(np.mean(run.reached)),
+            float(np.mean(reached_costs)) if reached_costs else math.nan,
+            (obs, raw, logp, np.concatenate(adv_parts), np.concatenate(ret_parts)),
+        )
+
+    log_rows = _train_loop(
+        cfg, rng, collect, value_params, val_adam, val_scale, policy=(policy, pol_adam)
+    )
     return TrainResult(policy=policy, value=value_params, log_rows=log_rows, meta=meta)
 
 

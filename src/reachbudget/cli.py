@@ -63,14 +63,16 @@ def write_trajectory_csv(path: str, traj: rcppo.Trajectory, problem) -> None:
             writer.writerow(row)
 
 
-# artifact kind -> (its name in the hash refusal, in the wrong-kind refusal)
-_KINDS = {
-    "policy": ("policy checkpoint", "a policy checkpoint"),
-    "value": ("value checkpoint", "a value checkpoint"),
-    "zmap": ("budget regressor", "a budget-regressor checkpoint"),
-}
 # the ZRegressor fields a budget-regressor checkpoint keeps in its meta
 _ZMAP_FIELDS = ("z_min", "z_max", "holdout_mae", "n_infeasible")
+# artifact kind -> (its name in the hash refusal, in the wrong-kind refusal,
+# the meta keys its readers use); a budget-conditioned policy also needs
+# z_min and z_max
+_KINDS = {
+    "policy": ("policy checkpoint", "a policy checkpoint", ("obs_scale",)),
+    "value": ("value checkpoint", "a value checkpoint", ("obs_scale", "z_min", "z_max", "big_c")),
+    "zmap": ("budget regressor", "a budget-regressor checkpoint", _ZMAP_FIELDS),
+}
 
 
 def save_artifact(path: str, obj, meta: dict) -> None:
@@ -94,9 +96,10 @@ def load_artifact(path: str, kind: str, cfg: dict, force: bool):
 
     The kind is read from the array names. An unreadable file and a
     file of another kind are refused; so is a config hash other than
-    cfg's, unless force. A file that carries no hash loads as it is.
+    cfg's, unless force, and a meta without the keys the kind's readers
+    use. A file that carries no hash loads as it is.
     """
-    what, kind_name = _KINDS[kind]
+    what, kind_name, keys = _KINDS[kind]
     try:
         arrays, meta = approx.load_checkpoint(path)
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -109,6 +112,11 @@ def load_artifact(path: str, kind: str, cfg: dict, force: bool):
             f"{what} was produced under config hash {stored[:12]}..., current is "
             f"{current[:12]}...; pass --force to use it anyway"
         )
+    if kind == "policy" and rcppo.budget_conditioned(meta):
+        keys += ("z_min", "z_max")
+    missing = [k for k in keys if k not in meta]
+    if missing:
+        raise click.ClickException(f"{path} has no {', '.join(missing)} in its meta")
     if kind == "policy":
         return approx.policy_from_arrays(arrays), meta
     net = approx.mlp_from_arrays(kind, arrays)
@@ -181,10 +189,13 @@ def train(config_path, out_dir, seed, algorithm):
     _echo_config(cfg)
     problem = build_problem(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    if algorithm == "rcppo":
-        result = rcppo.train_phase1(problem, phase1_from(cfg, seed))
-    else:
-        result = baselines.train_ppo_baseline(problem, baseline_from(cfg, seed))
+    try:
+        if algorithm == "rcppo":
+            result = rcppo.train_phase1(problem, phase1_from(cfg, seed))
+        else:
+            result = baselines.train_ppo_baseline(problem, baseline_from(cfg, seed))
+    except (ValueError, RuntimeError) as exc:
+        raise click.ClickException(str(exc)) from exc
     meta = dict(result.meta)
     meta["config_hash"] = config_hash(cfg)
     save_artifact(os.path.join(out_dir, "policy.ckpt"), result.policy, meta)
@@ -212,13 +223,16 @@ def finetune(config_path, run_dir, out_dir, seed, force):
     _echo_config(cfg)
     problem = build_problem(cfg)
     policy, meta = load_artifact(os.path.join(run_dir, "policy.ckpt"), "policy", cfg, force)
-    value, _ = load_artifact(os.path.join(run_dir, "value.ckpt"), "value", cfg, force)
     if not rcppo.budget_conditioned(meta):
         raise click.ClickException("phase 2 applies to budget-conditioned checkpoints only")
+    value, _ = load_artifact(os.path.join(run_dir, "value.ckpt"), "value", cfg, force)
     os.makedirs(out_dir, exist_ok=True)
-    value2, rows, meta2 = rcppo.finetune_phase2(
-        problem, policy, value, meta, phase2_from(cfg, seed)
-    )
+    try:
+        value2, rows, meta2 = rcppo.finetune_phase2(
+            problem, policy, value, meta, phase2_from(cfg, seed)
+        )
+    except (ValueError, RuntimeError) as exc:
+        raise click.ClickException(str(exc)) from exc
     meta2["config_hash"] = config_hash(cfg)
     save_artifact(os.path.join(out_dir, "value_phase2.ckpt"), value2, meta2)
     write_log_csv(os.path.join(out_dir, "finetune_log.csv"), rows)

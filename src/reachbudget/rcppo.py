@@ -518,19 +518,24 @@ def _ppo_update(
 
 
 def _stack_episodes(batch: RolloutBatch, gamma: float, lam: float, mode: str):
-    """(obs, actions_raw, log_probs, phi-fold advantages, lambda-returns)
-    over the episodes that took a step, concatenated; None if none did."""
+    """One batch as _train_loop's collect() result: (steps, reach_rate,
+    mean_cost_reached, (obs, actions_raw, log_probs, advantages,
+    lambda-returns)) over the episodes that took a step, concatenated;
+    the arrays are None if none did.
+
+    The advantages are the phi-fold ones negated: a lower reach value is
+    better, and the surrogate expects good actions to score higher.
+    """
     eps = [ep for ep in batch.episodes if len(ep.costs) > 0]
-    if not eps:
-        return None
     folds = [_gae_arrays(ep.ghat, ep.values, ep.tail_value, gamma, lam, mode) for ep in eps]
-    return (
+    arrays = None if not eps else (
         np.concatenate([ep.obs for ep in eps]),
         np.concatenate([ep.actions_raw for ep in eps]),
         np.concatenate([ep.log_probs for ep in eps]),
-        np.concatenate([gae for gae, _ in folds]),
+        -np.concatenate([gae for gae, _ in folds]),
         np.concatenate([ret for _, ret in folds]),
     )
+    return batch.total_steps, batch.reach_rate, batch.mean_cost_reached, arrays
 
 
 # the training log schema every trainer shares, in column order
@@ -540,16 +545,56 @@ LOG_COLUMNS = (
 )
 
 
-def _log_row(
-    iteration: int, env_steps: int, reach_rate: float, mean_cost_reached: float,
-    losses: dict,
-) -> dict:
-    """One training log row, keyed by LOG_COLUMNS in order."""
-    row = dict(
-        losses, iteration=iteration, env_steps=env_steps, reach_rate=reach_rate,
-        mean_cost_reached=mean_cost_reached,
+def _train_loop(cfg, rng, collect, value_params, val_adam, value_scale, policy=None):
+    """The iteration loop of every trainer; returns its LOG_COLUMNS rows.
+
+    Until cfg.total_steps environment steps are collected: decay the
+    learning rate (and the entropy coefficient) linearly in those steps,
+    take collect() -> (steps, reach_rate, mean_cost_reached, (obs,
+    actions_raw, log_probs, advantages, returns)), standardize the
+    advantages and run _ppo_update. policy is (params, adam), or None
+    for a value-only refit. A batch without a step would never end the
+    loop, so it is refused.
+    """
+    log_rows: list[dict] = []
+    env_steps = 0
+    iteration = 0
+    while env_steps < cfg.total_steps:
+        decay = 1.0 - env_steps / cfg.total_steps
+        val_adam.base_lr = cfg.lr * decay
+        if policy is not None:
+            policy[1].base_lr = cfg.lr * decay
+        steps, reach, cost, arrays = collect()
+        if steps == 0:
+            raise RuntimeError("no episode took a step: every start was already in the goal")
+        obs, raw, logp, adv, ret = arrays
+        env_steps += steps
+        iteration += 1
+        update = None
+        if policy is not None:
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+            update = (*policy, raw, logp, adv, cfg.entropy_coef * decay)
+        losses = _ppo_update(
+            cfg, rng, iteration, obs, ret, value_params, val_adam, value_scale, update
+        )
+        row = dict(
+            losses, iteration=iteration, env_steps=env_steps, reach_rate=reach,
+            mean_cost_reached=cost,
+        )
+        log_rows.append({c: row[c] for c in LOG_COLUMNS})
+    return log_rows
+
+
+def _init_nets(problem: ReachAvoidProblem, obs_dim: int, cfg, rng: np.random.Generator):
+    """(policy, value, policy Adam, value Adam) for a trainer from scratch."""
+    policy = approx.policy_init(
+        obs_dim, problem.action_low, problem.action_high, rng,
+        hidden=cfg.hidden, init_log_std=cfg.init_log_std,
     )
-    return {c: row[c] for c in LOG_COLUMNS}
+    value_params = approx.mlp_init((obs_dim, *cfg.hidden, 1), rng)
+    pol_adam = approx.AdamState.for_params(policy.trainable(), cfg.lr)
+    val_adam = approx.AdamState.for_params(value_params.trainable(), cfg.lr)
+    return policy, value_params, pol_adam, val_adam
 
 
 def _resolve_setup(
@@ -573,21 +618,14 @@ def train_phase1(problem: ReachAvoidProblem, cfg: Phase1Config) -> TrainResult:
     Each iteration collects n_envs complete episodes, computes phi-fold
     advantages per episode, negates and standardizes them across the
     batch, then runs several epochs of minibatched policy and value
-    updates. Learning rate and entropy coefficient decay linearly in
-    collected environment steps. Deterministic given cfg.seed.
+    updates (see _train_loop). Deterministic given cfg.seed.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     big_c, z_max = _resolve_setup(problem, cfg, rng)
     goal_params = AugmentedGoalParams(big_c=big_c)
-
-    obs_dim = problem.state_dim + 2
-    policy = approx.policy_init(
-        obs_dim, problem.action_low, problem.action_high, rng,
-        hidden=cfg.hidden, init_log_std=cfg.init_log_std,
+    policy, value_params, pol_adam, val_adam = _init_nets(
+        problem, problem.state_dim + 2, cfg, rng
     )
-    value_params = approx.mlp_init((obs_dim, *cfg.hidden, 1), rng)
-    pol_adam = approx.AdamState.for_params(policy.trainable(), cfg.lr)
-    val_adam = approx.AdamState.for_params(value_params.trainable(), cfg.lr)
 
     meta = {
         "algorithm": "rcppo",
@@ -601,39 +639,13 @@ def train_phase1(problem: ReachAvoidProblem, cfg: Phase1Config) -> TrainResult:
         "seed": cfg.seed,
     }
 
-    log_rows: list[dict] = []
-    env_steps = 0
-    iteration = 0
-    while env_steps < cfg.total_steps:
-        frac = env_steps / cfg.total_steps
-        lr_now = cfg.lr * (1.0 - frac)
-        ent_now = cfg.entropy_coef * (1.0 - frac)
-        pol_adam.base_lr = lr_now
-        val_adam.base_lr = lr_now
+    def collect():
+        batch = collect_rollouts(problem, policy, value_params, cfg, goal_params, rng, z_max)
+        return _stack_episodes(batch, cfg.gamma, cfg.lam, cfg.gae_mode)
 
-        batch = collect_rollouts(
-            problem, policy, value_params, cfg, goal_params, rng, z_max
-        )
-        env_steps += batch.total_steps
-        iteration += 1
-
-        stacked = _stack_episodes(batch, cfg.gamma, cfg.lam, cfg.gae_mode)
-        if stacked is None:
-            continue
-        obs, raw, logp, gae, ret = stacked
-
-        # Lower reach value is better, so good actions carry negative
-        # phi-advantages; the surrogate expects the opposite sign.
-        adv = -gae
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-
-        losses = _ppo_update(
-            cfg, rng, iteration, obs, ret, value_params, val_adam, big_c,
-            policy=(policy, pol_adam, raw, logp, adv, ent_now),
-        )
-        log_rows.append(_log_row(
-            iteration, env_steps, batch.reach_rate, batch.mean_cost_reached, losses
-        ))
+    log_rows = _train_loop(
+        cfg, rng, collect, value_params, val_adam, big_c, policy=(policy, pol_adam)
+    )
     return TrainResult(policy=policy, value=value_params, log_rows=log_rows, meta=meta)
 
 
@@ -667,26 +679,14 @@ def finetune_phase2(
     val_adam = approx.AdamState.for_params(value_params.trainable(), cfg.lr)
     roll_cfg = Phase1Config(n_envs=cfg.n_envs, z_min=meta["z_min"])
 
-    log_rows: list[dict] = []
-    env_steps = 0
-    iteration = 0
-    while env_steps < cfg.total_steps:
-        frac = env_steps / cfg.total_steps
-        val_adam.base_lr = cfg.lr * (1.0 - frac)
+    def collect():
         batch = collect_rollouts(
             problem, policy, value_params, roll_cfg, goal_params, rng,
             meta["z_max"], deterministic=True,
         )
-        env_steps += batch.total_steps
-        iteration += 1
-        stacked = _stack_episodes(batch, gamma, cfg.lam, cfg.gae_mode)
-        if stacked is None:
-            continue
-        obs, _, _, _, ret = stacked
-        losses = _ppo_update(cfg, rng, iteration, obs, ret, value_params, val_adam, big_c)
-        log_rows.append(_log_row(
-            iteration, env_steps, batch.reach_rate, batch.mean_cost_reached, losses
-        ))
+        return _stack_episodes(batch, gamma, cfg.lam, cfg.gae_mode)
+
+    log_rows = _train_loop(cfg, rng, collect, value_params, val_adam, big_c)
     meta2 = dict(meta)
     meta2["phase2_gamma"] = gamma
     return value_params, log_rows, meta2

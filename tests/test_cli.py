@@ -162,6 +162,30 @@ def test_finetune_writes_second_stage_value(tiny_cfg, rcppo_run, tmp_path):
     assert rows[0] == list(LOG_COLUMNS)
 
 
+def test_trainers_that_cannot_step_exit_with_an_error_line(tmp_path):
+    # a 1x1 grid starts every episode in its goal, and with z_min = 0
+    # every budget is nonnegative, so no trainer ever takes a step
+    config = tmp_path / "goal_only.yaml"
+    config.write_text(yaml.safe_dump(dict(
+        TINY, env={"name": "grid", "width": 1, "height": 1},
+        train=dict(TINY["train"], total_steps=0, z_min=0.0, big_c=10.0),
+    )))
+
+    def run(*args):
+        return CliRunner().invoke(cli.main, [*args, "--config", str(config)])
+
+    def assert_refused(*args):
+        result = run(*args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Error: no episode took a step: every start was already in the goal" in result.output
+
+    assert_refused("train", "--algorithm", "baseline", "--out", str(tmp_path / "b"))
+    # phase 2 refuses too, from a phase-1 run of zero steps
+    assert run("train", "--out", str(tmp_path / "r")).exit_code == 0
+    assert_refused("finetune", "--run", str(tmp_path / "r"), "--out", str(tmp_path / "p2"))
+
+
 def test_finetune_refuses_baseline_checkpoints(tiny_cfg, baseline_run, tmp_path):
     result = CliRunner().invoke(
         cli.main,
@@ -394,10 +418,16 @@ NOT_A = {
 
 
 @pytest.fixture(scope="module")
-def bad_files(rcppo_run, halfway_value, tmp_path_factory):
+def bad_files(rcppo_run, halfway_value, zmaps, tmp_path_factory):
     """By the kind a load expects: {case: (file, file)} for a file of
-    another kind, a text file, a zip without meta.json, a missing file."""
+    another kind, a text file, a zip without meta.json, a missing file,
+    and one of the right kind whose meta is empty."""
     out = tmp_path_factory.mktemp("bad")
+    bare = {}
+    for kind, path in (("policy", f"{rcppo_run}/policy.ckpt"),
+                       ("value", f"{rcppo_run}/value.ckpt"), ("zmap", zmaps["zmap"])):
+        bare[kind] = str(out / f"{kind}_no_meta_keys.ckpt")
+        approx.save_checkpoint(bare[kind], approx.load_checkpoint(path)[0], {})
     (out / "notes.txt").write_text("not a checkpoint\n")
     with zipfile.ZipFile(out / "no_meta.ckpt", "w") as zf:
         zf.writestr("value_w0.npy", b"")
@@ -411,7 +441,10 @@ def bad_files(rcppo_run, halfway_value, tmp_path_factory):
         "value": f"{rcppo_run}/policy.ckpt",
         "zmap": halfway_value,
     }
-    return {kind: dict(common, wrong_kind=(path, path)) for kind, path in other.items()}
+    return {
+        kind: dict(common, wrong_kind=(path, path), meta_missing_keys=(bare[kind], bare[kind]))
+        for kind, path in other.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +475,8 @@ def _assert_refuses(run, kind, cases):
             assert "Error: " in result.output and path in result.output, (case, result.output)
             if case == "wrong_kind":
                 assert f"{path} {NOT_A[kind]}" in result.output
+            if case == "meta_missing_keys":
+                assert f"{path} has no " in result.output and "z_max" in result.output
 
 
 @pytest.mark.parametrize("command", ["deploy", "evaluate"])

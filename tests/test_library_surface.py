@@ -8,6 +8,9 @@ fails this test do not count either, so a chain of helpers that only
 call each other fails as a whole. Code that only the tests call
 belongs in the tests (tests/oracles.py keeps the reference
 implementations).
+
+The training loop is likewise kept in one place: only
+rcppo._train_loop runs minibatch updates and decays a learning rate.
 """
 
 from __future__ import annotations
@@ -77,3 +80,35 @@ def _unused_definitions() -> list[str]:
 def test_every_public_definition_has_a_caller_outside_the_tests():
     unused = _unused_definitions()
     assert not unused, f"public definitions that no program path or bench file uses: {unused}"
+
+
+def _owners(match) -> set[str]:
+    """module.definition of every top-level definition in src/reachbudget
+    that holds an AST node match accepts."""
+    owners = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for stmt in ast.parse(path.read_text()).body:
+            if any(match(node) for node in ast.walk(stmt)):
+                owners.add(f"{module}.{getattr(stmt, 'name', None)}")
+    return owners
+
+
+def _calls_ppo_update(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    return getattr(node.func, "id", getattr(node.func, "attr", None)) == "_ppo_update"
+
+
+def _sets_base_lr(node) -> bool:
+    if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        return False
+    targets = getattr(node, "targets", None) or [node.target]
+    return any(isinstance(t, ast.Attribute) and t.attr == "base_lr" for t in targets)
+
+
+def test_only_the_shared_training_loop_updates_and_decays_the_learning_rate():
+    # a trainer hands a collect closure to rcppo._train_loop; a loop of its
+    # own would repeat the schedule, the stop rule and the log row
+    assert _owners(_calls_ppo_update) == {"rcppo._train_loop"}
+    assert _owners(_sets_base_lr) == {"rcppo._train_loop"}

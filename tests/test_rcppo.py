@@ -15,7 +15,7 @@ from oracles import sequential_bisection
 import reachbudget
 from reachbudget import approx, baselines, rcppo
 from reachbudget.augment import AugmentedGoalParams
-from reachbudget.envkit import ControlNoiseWrapper, NoiseWrapperConfig
+from reachbudget.envkit import ControlNoiseWrapper, NoiseWrapperConfig, grid_reachavoid_make
 
 
 def _rng(seed=0):
@@ -382,6 +382,24 @@ def test_phase2_gamma_override_is_respected(pendulum):
         rcppo.Phase2Config(total_steps=0, gamma=0.5),
     )
     assert meta2["phase2_gamma"] == 0.5
+
+
+def test_every_trainer_refuses_a_batch_in_which_no_episode_steps():
+    # every start of a 1x1 grid is its goal, and with z_min = 0 every
+    # budget is nonnegative, so no lane steps and env_steps never grows
+    grid = grid_reachavoid_make(1, 1, (), (0, 0)).as_problem()
+    p1 = rcppo.Phase1Config(total_steps=100, n_envs=2, hidden=(8, 8), z_min=0.0, big_c=10.0)
+    fresh = rcppo.train_phase1(grid, rcppo.Phase1Config(total_steps=0, hidden=(8, 8), z_min=0.0))
+    assert fresh.meta["z_min"] == 0.0
+    p2 = rcppo.Phase2Config(total_steps=100, n_envs=2)
+    base = baselines.BaselineConfig(total_steps=100, n_envs=2, hidden=(8, 8))
+    for train in (
+        lambda: rcppo.train_phase1(grid, p1),
+        lambda: rcppo.finetune_phase2(grid, fresh.policy, fresh.value, fresh.meta, p2),
+        lambda: baselines.train_ppo_baseline(grid, base),
+    ):
+        with pytest.raises(RuntimeError, match="no episode took a step: every start"):
+            train()
 
 
 # -- minibatch updates on one thread or two ------------------------------------------
