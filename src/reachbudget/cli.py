@@ -188,7 +188,6 @@ def train(config_path, out_dir, seed, algorithm):
     cfg = load_config(config_path)
     _echo_config(cfg)
     problem = build_problem(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     try:
         if algorithm == "rcppo":
             result = rcppo.train_phase1(problem, phase1_from(cfg, seed))
@@ -196,6 +195,7 @@ def train(config_path, out_dir, seed, algorithm):
             result = baselines.train_ppo_baseline(problem, baseline_from(cfg, seed))
     except (ValueError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
+    os.makedirs(out_dir, exist_ok=True)
     meta = dict(result.meta)
     meta["config_hash"] = config_hash(cfg)
     save_artifact(os.path.join(out_dir, "policy.ckpt"), result.policy, meta)
@@ -225,14 +225,16 @@ def finetune(config_path, run_dir, out_dir, seed, force):
     policy, meta = load_artifact(os.path.join(run_dir, "policy.ckpt"), "policy", cfg, force)
     if not rcppo.budget_conditioned(meta):
         raise click.ClickException("phase 2 applies to budget-conditioned checkpoints only")
-    value, _ = load_artifact(os.path.join(run_dir, "value.ckpt"), "value", cfg, force)
-    os.makedirs(out_dir, exist_ok=True)
+    value, vmeta = load_artifact(os.path.join(run_dir, "value.ckpt"), "value", cfg, force)
+    # the value's meta is checked for big_c, the policy's is not
+    meta = dict(meta, big_c=vmeta["big_c"])
     try:
         value2, rows, meta2 = rcppo.finetune_phase2(
             problem, policy, value, meta, phase2_from(cfg, seed)
         )
     except (ValueError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
+    os.makedirs(out_dir, exist_ok=True)
     meta2["config_hash"] = config_hash(cfg)
     save_artifact(os.path.join(out_dir, "value_phase2.ckpt"), value2, meta2)
     write_log_csv(os.path.join(out_dir, "finetune_log.csv"), rows)

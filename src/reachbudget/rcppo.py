@@ -192,6 +192,8 @@ def value_fn_from(
 
     def fn(x, y, z) -> np.ndarray:
         obs = build_obs(x, y, z, scale, z_min, z_max)
+        if obs.shape[0] <= _FORWARD_ROWS:
+            return approx.mlp_forward(value_params, obs)[:, 0] * big_c
         v = np.empty(obs.shape[0])
         for s in range(0, obs.shape[0], _FORWARD_ROWS):
             block = slice(s, s + _FORWARD_ROWS)
@@ -750,9 +752,12 @@ def _bisect(value_fn, x, y, rows: bool, z_min, z_max, tol, scan_points):
         if v.shape != z.shape:
             v = np.broadcast_to(v, z.shape)
         vals = v.tolist()
-        for k, vk in enumerate(vals):
-            if vk != vk:  # NaN has no sign, so no budget can be read from it
-                raise ValueError(f"value is NaN at z={z[k]:.6g}")
+        # one sum clears the common case; it is also NaN where inf meets
+        # -inf, so the search for the NaN can come up empty
+        if math.isnan(sum(vals)):
+            for k, vk in enumerate(vals):
+                if vk != vk:  # NaN has no sign, so no budget can be read from it
+                    raise ValueError(f"value is NaN at z={z[k]:.6g}")
         return vals
 
     n = len(y) if rows else 1
@@ -766,10 +771,16 @@ def _bisect(value_fn, x, y, rows: bool, z_min, z_max, tol, scan_points):
         violations = np.sum(signs[:, :-1] & ~signs[:, 1:], axis=1).tolist()
     out: list = [None] * n
     lo, hi = float(z_min), float(z_max)
-    max_iter = int(np.ceil(np.log2(max(1.0, (hi - lo) / tol)))) + 5
+    max_iter = math.ceil(math.log2(max(1.0, (hi - lo) / tol))) + 5
+    # inner scan budget -> its index in first. A scan of 2**j + 1 points
+    # on a range whose halvings are exact holds the first j levels of
+    # the bisection tree, and the walk takes those midpoints' values
+    # from the scan instead of asking for them again.
+    scanned = {z: k for k, z in enumerate(first[1:-1], 1)}
     brackets = {}  # unfinished state -> [lo, hi, v(hi), iterations]
     for i in range(n):
-        v_lo, v_hi = v_first[i * per], v_first[(i + 1) * per - 1]
+        base = i * per
+        v_lo, v_hi = v_first[base], v_first[base + per - 1]
         if violations[i]:
             warnings.warn(
                 f"value sign regressed {violations[i]} time(s) along the z sweep",
@@ -781,8 +792,19 @@ def _bisect(value_fn, x, y, rows: bool, z_min, z_max, tol, scan_points):
         elif v_lo <= 0.0:
             out[i] = ZStarSolution(lo, v_lo, (lo, lo), 0, violations[i])
         else:
-            brackets[i] = [lo, hi, v_hi, 0]
-    active = [i for i in brackets if hi - lo > tol]
+            a, b, v_b, it = lo, hi, v_hi, 0
+            while b - a > tol and it < max_iter:
+                mid = 0.5 * (a + b)
+                k = scanned.get(mid)
+                if k is None:
+                    break
+                if v_first[base + k] <= 0.0:
+                    b, v_b = mid, v_first[base + k]
+                else:
+                    a = mid
+                it += 1
+            brackets[i] = [a, b, v_b, it]
+    active = [i for i, (a, b, _, it) in brackets.items() if b - a > tol and it < max_iter]
     while active:
         nodes = 2 ** _tree_levels(len(active)) - 1
         trees = [_tree_midpoints(*brackets[i][:2], nodes) for i in active]
@@ -829,15 +851,21 @@ def bisect_z_star(
     hiding them.
 
     The first call asks for (z_min, z_max), or for the whole sweep,
-    whose ends stand in for them. Each further call asks for every
-    midpoint of the next _TREE_LEVELS (3) levels of the bisection tree,
-    and the walk down it takes the midpoints one-at-a-time bisection
-    would (v <= 0 moves hi to the midpoint, otherwise lo; stop once
-    hi - lo <= tol or after max_iter midpoints), so the result is the
-    same. v_at_zstar is the value already computed at hi. Searches over
-    many states at once (fit_z_regressor) ask for fewer levels per call
-    while the unfinished states' midpoints would overflow one value
-    forward (see _tree_levels); the results do not change.
+    whose ends stand in for them. The walk down the bisection tree takes
+    the midpoints one-at-a-time bisection would (v <= 0 moves hi to the
+    midpoint, otherwise lo; stop once hi - lo <= tol or after max_iter
+    midpoints), so the result is the same. While the next midpoint
+    equals a sweep budget, the walk takes the sweep's value there: a
+    sweep of 2**j + 1 points on a range whose halvings are exact, such
+    as 33 points (the `bisect` default) on [-1, 600], covers the first
+    j levels of the tree, and a sweep whose budgets are not midpoints
+    covers none. Each further call asks for every midpoint of the next
+    _TREE_LEVELS (3) levels below the bracket the walk has reached.
+    v_at_zstar is the value already computed at hi, by the sweep or by
+    a later call. Searches over many states at once (fit_z_regressor)
+    ask for fewer levels per call while the unfinished states'
+    midpoints would overflow one value forward (see _tree_levels); the
+    results do not change.
 
     Raises:
         Infeasible: value at z_max is still positive.

@@ -174,16 +174,36 @@ def test_trainers_that_cannot_step_exit_with_an_error_line(tmp_path):
     def run(*args):
         return CliRunner().invoke(cli.main, [*args, "--config", str(config)])
 
-    def assert_refused(*args):
-        result = run(*args)
+    def assert_refused(out, *args):
+        result = run(*args, "--out", str(out))
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Error: no episode took a step: every start was already in the goal" in result.output
+        assert not out.exists()  # a refused run leaves no output directory
 
-    assert_refused("train", "--algorithm", "baseline", "--out", str(tmp_path / "b"))
+    assert_refused(tmp_path / "b", "train", "--algorithm", "baseline")
     # phase 2 refuses too, from a phase-1 run of zero steps
     assert run("train", "--out", str(tmp_path / "r")).exit_code == 0
-    assert_refused("finetune", "--run", str(tmp_path / "r"), "--out", str(tmp_path / "p2"))
+    assert_refused(tmp_path / "p2", "finetune", "--run", str(tmp_path / "r"))
+
+
+def test_finetune_takes_big_c_from_the_value_checkpoint(tiny_cfg, rcppo_run, tmp_path):
+    # load_artifact checks a value's meta for big_c, not a policy's
+    run = tmp_path / "run"
+    shutil.copytree(rcppo_run, run)
+    arrays, meta = approx.load_checkpoint(str(run / "policy.ckpt"))
+    approx.save_checkpoint(str(run / "policy.ckpt"), arrays, {k: v for k, v in meta.items() if k != "big_c"})
+    _, vmeta = approx.load_checkpoint(str(run / "value.ckpt"))
+    out = tmp_path / "p2"
+    _invoke(["finetune", "--config", tiny_cfg, "--run", str(run), "--out", str(out)])
+    _, meta2 = cli.load_artifact(f"{out}/value_phase2.ckpt", "value", load_config(tiny_cfg), False)
+    assert meta2["big_c"] == vmeta["big_c"]
+    # bisect loads it: a budget, or exit 2 for a state no budget makes feasible
+    result = CliRunner().invoke(cli.main, [
+        "bisect", "--config", tiny_cfg, "--value", f"{out}/value_phase2.ckpt", "--state", "1.0,0.0",
+    ])
+    assert result.exit_code in (0, 2), result.output
+    assert ("z_star" in _last_json(result)) == (result.exit_code == 0)
 
 
 def test_finetune_refuses_baseline_checkpoints(tiny_cfg, baseline_run, tmp_path):

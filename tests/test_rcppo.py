@@ -628,6 +628,13 @@ BISECTION_CASES = [
     pytest.param(_step_at(3.3), 0.0, 10.0, 1e-3, 0, id="step"),
     pytest.param(_step_at(8.75), 0.0, 10.0, 1e-3, 0, id="step-on-a-midpoint"),
     pytest.param(lambda z: 300.25 - 2.0 * z, -1.0, 600.0, 1e-2, 33, id="linear-with-scan"),
+    # 33 budgets on [-1, 600] are 18.78125 apart: the first five levels
+    # of the tree; 55.34375 is on the fifth
+    pytest.param(lambda z: 55.34375 - z, -1.0, 600.0, 1e-2, 33, id="root-on-a-scan-budget"),
+    pytest.param(_step_at(60.0), -1.0, 600.0, 1e-2, 33, id="root-between-scan-budgets"),
+    pytest.param(lambda z: 5.3 - z, 0.0, 10.0, 1e-3, 9, id="nine-point-scan"),
+    pytest.param(lambda z: 3.75 - z, 0.0, 10.0, 1e-3, 9, id="nine-point-scan-root-on-a-budget"),
+    pytest.param(lambda z: 5.3 - z, 0.0, 9.0, 1e-3, 4, id="scan-off-the-tree"),
     pytest.param(np.sin, 0.5, 11.0, 1e-4, 64, id="sin-wobble-with-scan"),
     pytest.param(lambda z: -np.sin(z), 0.5, 11.0, 1e-4, 64, id="negated-sin-with-scan"),
     pytest.param(lambda z: 6.0 - z, 0.0, 10.0, 6.0, 0, id="tol-stops-after-one-midpoint"),
@@ -645,6 +652,18 @@ BISECTION_CASES = [
 ]
 
 
+def _outcome(sol):
+    """A solution as sequential_bisection reports it; None for Infeasible."""
+    if isinstance(sol, rcppo.Infeasible):
+        return None
+    return {
+        "z_star": sol.z_star,
+        "bracket": sol.bracket,
+        "iterations": sol.iterations,
+        "monotone_violations": sol.monotone_violations,
+    }
+
+
 def _assert_bisection_matches_reference(value, z_min, z_max, tol, scan_points):
     want = sequential_bisection(value, z_min, z_max, tol, scan_points)
     args = (lambda x, y, z: value(z), None, 1.0, z_min, z_max, tol, scan_points)
@@ -655,13 +674,7 @@ def _assert_bisection_matches_reference(value, z_min, z_max, tol, scan_points):
                 rcppo.bisect_z_star(*args)
             return None
         sol = rcppo.bisect_z_star(*args)
-    got = {
-        "z_star": sol.z_star,
-        "bracket": sol.bracket,
-        "iterations": sol.iterations,
-        "monotone_violations": sol.monotone_violations,
-    }
-    assert got == want
+    assert _outcome(sol) == want
     assert sol.v_at_zstar == float(value(sol.z_star))
     return sol
 
@@ -691,6 +704,70 @@ def test_bisection_asks_for_three_levels_of_midpoints_per_call():
     assert asked[1].tolist() == [5.0, 2.5, 7.5, 1.25, 3.75, 6.25, 8.75]
 
 
+def test_bisection_takes_the_first_tree_levels_from_a_scan_of_their_midpoints():
+    asked = []
+
+    def value(x, y, z):
+        asked.append(z.copy())
+        return 100.0 - z
+
+    sol = rcppo.bisect_z_star(value, None, 1.0, -1.0, 600.0, 1e-2, 33)
+    # 16 midpoints: 5 from the scan, then 11 from four calls of 3 levels
+    assert sol.iterations == 16
+    assert [len(z) for z in asked] == [33, 7, 7, 7, 7]
+    budgets = np.concatenate(asked)
+    assert len(np.unique(budgets)) == len(budgets)
+
+
+def test_bisection_raises_on_a_nan_value_at_a_reused_scan_budget():
+    # 55.34375 is a scan budget and the walk's fifth midpoint
+    def value(x, y, z):
+        return np.where(z == 55.34375, math.nan, 40.0 - z)
+
+    with pytest.raises(ValueError, match="NaN at z=55.3438"):
+        rcppo.bisect_z_star(value, None, 1.0, -1.0, 600.0, 1e-2, 33)
+
+
+# the budgets of a 33-point scan on [-1, 600], which are tree midpoints
+_SCAN_BUDGET = st.sampled_from(np.linspace(-1.0, 600.0, 33).tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(root=st.one_of(st.floats(-2.0, 602.0), _SCAN_BUDGET), step=st.booleans())
+def test_bisection_with_the_default_scan_matches_the_sequential_reference(root, step):
+    value = _step_at(root) if step else (lambda z: root - z)
+    _assert_bisection_matches_reference(value, -1.0, 600.0, 1e-2, 33)
+
+
+@settings(max_examples=30, deadline=None)
+@given(roots=st.lists(st.one_of(st.floats(-2.0, 602.0), _SCAN_BUDGET), min_size=1, max_size=12))
+def test_many_states_with_the_default_scan_match_per_state_calls(roots):
+    _assert_many_states_match_per_state_calls(roots, [-1.0] * len(roots), 1e-2, 33, (-1.0, 600.0))
+
+
+def test_bisection_reusing_scan_values_of_a_network_matches_one_budget_at_a_time():
+    # values from BLAS forwards of 1, 7, 33 and 256 rows; the budget input
+    # is weighted up so most states cross zero inside [-1, 600]
+    rng = _rng(12)
+    net = approx.mlp_init((4, 32, 32, 1), rng)
+    net.weights[0][3] *= 4.0
+    fn = rcppo.value_fn_from(net, dict(_meta(z_max=600.0), big_c=1.0))
+    xs = np.column_stack([rng.uniform(-np.pi, np.pi, 32), rng.uniform(-8.0, 8.0, 32)])
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", rcppo.NonMonotoneWarning)
+        many = rcppo._bisect(fn, xs, np.full(32, -1.0), True, -1.0, 600.0, 1e-2, 33)
+        for x, got_many in zip(xs, many):
+            (got,) = rcppo._bisect(fn, x, -1.0, False, -1.0, 600.0, 1e-2, 33)
+            want = sequential_bisection(
+                lambda z: float(fn(x, -1.0, np.array([z]))[0]), -1.0, 600.0, 1e-2, 33
+            )
+            assert _outcome(got) == _outcome(got_many) == want
+            outcomes.append("infeasible" if want is None else min(want["iterations"], 1))
+    # every outcome occurs: infeasible, feasible at z_min, bracketed
+    assert set(outcomes) == {"infeasible", 0, 1}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     root=st.floats(-2.0, 12.0),
@@ -708,16 +785,16 @@ def _rooted_at_first_column(x, y, z):
     return np.asarray(x)[..., 0] + 2.0 * np.asarray(y) - z
 
 
-def _assert_many_states_match_per_state_calls(roots, flags, tol, scan_points):
+def _assert_many_states_match_per_state_calls(roots, flags, tol, scan_points, z_range=(0.0, 10.0)):
     xs = np.asarray(roots, dtype=np.float64)[:, None]
     ys = np.asarray(flags, dtype=np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", rcppo.NonMonotoneWarning)
-        many = rcppo._bisect(_rooted_at_first_column, xs, ys, True, 0.0, 10.0, tol, scan_points)
+        many = rcppo._bisect(_rooted_at_first_column, xs, ys, True, *z_range, tol, scan_points)
         for x, y, got in zip(xs, ys, many):
             try:
                 want = rcppo.bisect_z_star(
-                    _rooted_at_first_column, x, float(y), 0.0, 10.0, tol, scan_points
+                    _rooted_at_first_column, x, float(y), *z_range, tol, scan_points
                 )
             except rcppo.Infeasible as exc:
                 assert isinstance(got, rcppo.Infeasible)
