@@ -162,13 +162,13 @@ def mlp_backward(
     upstream_grad: np.ndarray,
     cache: list[np.ndarray] | None = None,
     out: np.ndarray | None = None,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Reverse-mode gradients of sum(upstream_grad * output).
+) -> list[np.ndarray]:
+    """Reverse-mode parameter gradients of sum(upstream_grad * output).
 
-    Returns (grads, dx) with grads interleaved as (dW0, db0, dW1, ...)
-    matching MlpParams.trainable() order; dx is the gradient with
-    respect to the input batch. The grads are views into one vector
-    laid out like params.flat: out if given, else a fresh one.
+    The grads come interleaved as (dW0, db0, dW1, ...), matching
+    MlpParams.trainable() order, as views into one vector laid out
+    like params.flat: out if given, else a fresh one. The input
+    gradient is never formed: the loop stops at layer 0.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -182,19 +182,20 @@ def mlp_backward(
     grads = _views(grad, [a.shape for a in params.trainable()])
     delta = up  # gradient at the current layer's pre-activation
     for i in range(n_layers - 1, -1, -1):
-        w = params.weights[i]
         np.matmul(cache[i].T, delta, out=grads[2 * i])
         np.sum(delta, axis=0, out=grads[2 * i + 1])
+        if i == 0:
+            break
+        w = params.weights[i]
         # a one-column layer backpropagates by broadcasting, not an
         # outer-product matmul; either way delta is a fresh array
         delta = delta * w[:, 0] if w.shape[1] == 1 else delta @ w.T
-        if i > 0 and params.activation == "tanh":
+        if params.activation == "tanh":
             # cache[i] is the tanh output feeding layer i
             slope = np.square(cache[i])
             np.subtract(1.0, slope, out=slope)
             delta *= slope
-    dx = delta[0] if single else delta
-    return grads, dx
+    return grads
 
 
 # -- Gaussian policy head ------------------------------------------------------
@@ -310,7 +311,7 @@ def policy_logp_backward(
     d_mean = up[:, None] * diff / std
     grad = np.empty(params.flat.size)
     n = params.trunk.flat.size
-    trunk_grads, _ = mlp_backward(params.trunk, obs, d_mean, cache=cache, out=grad[:n])
+    trunk_grads = mlp_backward(params.trunk, obs, d_mean, cache=cache, out=grad[:n])
     d_log_std = grad[n:]
     np.sum(up[:, None] * (diff**2 - 1.0), axis=0, out=d_log_std)
     active = (params.log_std > LOG_STD_MIN) & (params.log_std < LOG_STD_MAX)

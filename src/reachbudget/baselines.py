@@ -98,6 +98,10 @@ class BaselineConfig:
     init_log_std: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.clip_eps < 1.0:
+            raise ValueError("clip_eps must be in (0, 1)")
+
 
 def _reward_gae(
     rewards: np.ndarray,

@@ -372,9 +372,13 @@ def gridsearch(config_path, out_path, seed):
     _echo_config(cfg)
     problem = build_problem(cfg)
     gs = cfg["grid_search"]
+    try:
+        base_cfg = baseline_from(cfg)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     rows = baselines.grid_search(
         problem,
-        baseline_from(cfg),
+        base_cfg,
         r_goal_values=gs["r_goal"],
         p_goal_values=gs["p_goal"],
         beta_values=gs["beta"],

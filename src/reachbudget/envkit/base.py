@@ -6,6 +6,15 @@ margin functions that define the goal set G and the avoid set F:
     g(x) <= 0  inside G (shipped environments use a -300 plateau on G)
     h(x) >  0  inside F
 
+The interface a problem implements:
+
+    sample_initial(rng, n)  start states
+    step_and_cost(x, u)     successor x' and the cost c >= 0 charged
+                            for the control actually executed
+    goal_margin, avoid_margin, in_goal, in_avoid, goal_distance
+                            the sets and their margins
+    max_step_cost()         upper bound on one step's cost
+
 Dynamics are deterministic. All randomness (initial states, control
 noise) flows through explicitly passed generators.
 """
@@ -22,10 +31,8 @@ class ReachAvoidProblem:
         state_dim, action_dim: int
         action_low, action_high: (action_dim,) arrays, low < high elementwise
         horizon_max: int, episode step cap
-        dt: float step size where the dynamics are a discretized flow
 
-    and implement `sample_initial`, `step`, `cost`, `goal_margin`,
-    `avoid_margin`, `in_goal`, `in_avoid`, and `goal_distance`.
+    and implement the interface in the module docstring.
 
     All state/action methods accept either a single point `(d,)` or a
     batch `(n, d)` and vectorize over the batch.
@@ -37,7 +44,6 @@ class ReachAvoidProblem:
     action_low: np.ndarray
     action_high: np.ndarray
     horizon_max: int
-    dt: float | None = None
     # Box bounds of the state space where one exists; used for sampling
     # when estimating the goal-margin ceiling.
     state_low: np.ndarray | None = None
@@ -61,22 +67,13 @@ class ReachAvoidProblem:
     def sample_initial(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Deterministic successor state f(x, u)."""
-        raise NotImplementedError
-
-    def cost(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Running cost c(x, u) >= 0."""
-        raise NotImplementedError
-
     def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Successor and cost for the control actually executed.
+        """Successor f(x, u) and running cost c(x, u) >= 0 of one step.
 
-        This is the single entry point wrappers override; stochastic
-        wrappers draw their noise exactly once per call so the charged
-        cost always matches the executed control.
+        Both belong to the control actually executed: problems clip u
+        to the action box, and a noise wrapper draws its noise once.
         """
-        return self.step(x, u), self.cost(x, u)
+        raise NotImplementedError
 
     def max_step_cost(self) -> float:
         """Upper bound on the one-step cost, used for budget ranges."""

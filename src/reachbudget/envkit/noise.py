@@ -38,7 +38,6 @@ class ControlNoiseWrapper(ReachAvoidProblem):
         self.action_low = problem.action_low
         self.action_high = problem.action_high
         self.horizon_max = problem.horizon_max
-        self.dt = problem.dt
         self.state_low = problem.state_low
         self.state_high = problem.state_high
         self.obs_scale = problem.obs_scale
@@ -59,15 +58,7 @@ class ControlNoiseWrapper(ReachAvoidProblem):
         executed = np.clip(executed, self.action_low, self.action_high)
         if single:
             executed = executed[0]
-        return self.base.step(x, executed), self.base.cost(x, executed)
-
-    # Separate step/cost calls cannot share a noise draw, so they are
-    # not available on the wrapped problem.
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        raise RuntimeError("noisy problem: use step_and_cost for a single noise draw")
-
-    def cost(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        raise RuntimeError("noisy problem: use step_and_cost for a single noise draw")
+        return self.base.step_and_cost(x, executed)
 
     def sample_initial(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         return self.base.sample_initial(rng, n)

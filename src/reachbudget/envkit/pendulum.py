@@ -2,12 +2,12 @@
 
 State is (theta, theta_dot) with theta measured from upright and wrapped
 to [-pi, pi]. The dynamics are the classic point-mass pendulum under
-semi-implicit Euler (gravity 10, mass 1, length 1, dt 0.05); the torque
-bound is 1, which is too weak to lift the pendulum directly, so the
-controller has to pump energy.
+semi-implicit Euler (gravity 10, mass 1, length 1, time step 0.05);
+the torque bound is 1, which is too weak to lift the pendulum
+directly, so the controller has to pump energy.
 
 The goal set is the set of states about to cross upright within one
-step, G = {theta * (theta + theta_dot * dt) < 0}. There is no avoid
+step, G = {theta * (theta + theta_dot * 0.05) < 0}. There is no avoid
 set. The running cost is 0 for torques below 0.1 and 8*u^2 otherwise,
 so doing nothing is free and hard braking is expensive.
 """
@@ -36,7 +36,6 @@ class PendulumSwingUp(ReachAvoidProblem):
     state_dim = 2
     action_dim = 1
     horizon_max = 200
-    dt = _DT
 
     def __init__(self) -> None:
         self.action_low = np.array([-_TORQUE_LIMIT])
@@ -53,7 +52,7 @@ class PendulumSwingUp(ReachAvoidProblem):
         out = np.stack([theta, theta_dot], axis=1)
         return out[0] if n is None else out
 
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xb, single = _as_batch(x, self.state_dim)
         ub, _ = _as_batch(u, self.action_dim)
         torque = np.minimum(np.maximum(ub[:, 0], -_TORQUE_LIMIT), _TORQUE_LIMIT)
@@ -64,14 +63,10 @@ class PendulumSwingUp(ReachAvoidProblem):
         )
         new_dot = np.minimum(np.maximum(theta_dot + accel * _DT, -_MAX_SPEED), _MAX_SPEED)
         new_theta = _wrap_angle(theta + new_dot * _DT)
-        return _squeeze(np.stack([new_theta, new_dot], axis=1), single)
-
-    def cost(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        ub, single = _as_batch(u, self.action_dim)
         # priced on the torque actually applied, i.e. after clipping
-        norm = np.abs(np.minimum(np.maximum(ub[:, 0], -_TORQUE_LIMIT), _TORQUE_LIMIT))
+        norm = np.abs(torque)
         c = np.where(norm < 0.1, 0.0, 8.0 * norm**2)
-        return _squeeze(c, single)
+        return _squeeze(np.stack([new_theta, new_dot], axis=1), single), _squeeze(c, single)
 
     def max_step_cost(self) -> float:
         return 8.0 * _TORQUE_LIMIT**2

@@ -32,7 +32,6 @@ class TabularMDP:
         g_values / h_values: (S,) goal and avoid margins
         initial_states / initial_probs: support and weights of the
             start distribution
-        terminal_mask: (S,) states at which an episode ends
         horizon_max: episode step cap
         coords: (S, k) integer coordinates for export, or None
     """
@@ -48,7 +47,6 @@ class TabularMDP:
     h_values: np.ndarray
     initial_states: np.ndarray
     initial_probs: np.ndarray
-    terminal_mask: np.ndarray
     horizon_max: int
     labels: tuple[str, ...] = ()
     coords: np.ndarray | None = None
@@ -102,20 +100,13 @@ class TabularProblemView(ReachAvoidProblem):
         out = states.astype(np.float64)[:, None]
         return out[0] if n is None else out
 
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xb, single = _as_batch(x, 1)
         ub, _ = _as_batch(u, 1)
         s = self._idx(xb)
         a = np.minimum(np.maximum(np.rint(ub[:, 0]).astype(int), 0), self.mdp.n_actions - 1)
         nxt = self.mdp.next_state[s, a].astype(np.float64)[:, None]
-        return _squeeze(nxt, single)
-
-    def cost(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 1)
-        ub, _ = _as_batch(u, 1)
-        s = self._idx(xb)
-        a = np.minimum(np.maximum(np.rint(ub[:, 0]).astype(int), 0), self.mdp.n_actions - 1)
-        return _squeeze(self.mdp.cost[s, a], single)
+        return _squeeze(nxt, single), _squeeze(self.mdp.cost[s, a], single)
 
     def max_step_cost(self) -> float:
         return self.mdp.max_step_cost()
@@ -231,7 +222,6 @@ def grid_reachavoid_make(
         h_values=h_values,
         initial_states=initial_states,
         initial_probs=initial_probs,
-        terminal_mask=goal_mask.copy(),
         horizon_max=4 * (width + height),
         labels=tuple(f"r{r}c{c}" for r in range(height) for c in range(width)),
         coords=coords,
@@ -269,8 +259,6 @@ def two_start_bandit_make() -> TabularMDP:
     avoid_mask = np.zeros(n_states, dtype=bool)
     g_values = np.where(goal_mask, _GOAL_PLATEAU, 1.0)
     h_values = np.full(n_states, -1.0)
-    terminal_mask = np.zeros(n_states, dtype=bool)
-    terminal_mask[[g1, g2, g3, absorb]] = True
 
     return TabularMDP(
         n_states=n_states,
@@ -284,7 +272,6 @@ def two_start_bandit_make() -> TabularMDP:
         h_values=h_values,
         initial_states=np.array([a, b]),
         initial_probs=np.array([0.5, 0.5]),
-        terminal_mask=terminal_mask,
         horizon_max=1,
         labels=labels,
     )

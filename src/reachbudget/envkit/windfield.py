@@ -1,7 +1,7 @@
 """Point-mass navigation through a synthetic wind field.
 
 The vehicle lives in the box [-30, 30]^2 and commands a velocity
-u in [-2, 2]^2; the wind adds a drift, so x' = x + (u + wind(x)) * dt.
+u in [-2, 2]^2; the wind adds a drift, so x' = x + u + wind(x) per step.
 The wind is an analytic stand-in for measured data: a constant
 west-to-east shear that grows with altitude y plus two fixed vortices.
 Riding the wind is cheaper than fighting it, which is the behavior the
@@ -42,7 +42,6 @@ class WindFieldLite(ReachAvoidProblem):
     state_dim = 2
     action_dim = 2
     horizon_max = 300
-    dt = _DT
 
     def __init__(
         self,
@@ -92,17 +91,12 @@ class WindFieldLite(ReachAvoidProblem):
         out = np.stack([px, py], axis=1)
         return out[0] if n is None else out
 
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xb, single = _as_batch(x, self.state_dim)
         ub, _ = _as_batch(u, self.action_dim)
-        vel = np.minimum(np.maximum(ub, self.action_low), self.action_high) + self.wind_at(xb)
-        nxt = np.minimum(np.maximum(xb + vel * _DT, -_BOX), _BOX)
-        return _squeeze(nxt, single)
-
-    def cost(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        ub, single = _as_batch(u, self.action_dim)
         uc = np.minimum(np.maximum(ub, self.action_low), self.action_high)
-        return _squeeze(0.5 * np.sum(uc**2, axis=1), single)
+        nxt = np.minimum(np.maximum(xb + (uc + self.wind_at(xb)) * _DT, -_BOX), _BOX)
+        return _squeeze(nxt, single), _squeeze(0.5 * np.sum(uc**2, axis=1), single)
 
     def max_step_cost(self) -> float:
         return 0.5 * float(np.sum(self.action_high**2))

@@ -438,7 +438,7 @@ def value_loss(
     diff = out[:, 0] - np.asarray(targets, dtype=np.float64) / target_scale
     loss = float(np.mean(diff**2))
     upstream = (2.0 * diff / diff.shape[0])[:, None]
-    grads, _ = approx.mlp_backward(value_params, obs, upstream, cache=cache)
+    grads = approx.mlp_backward(value_params, obs, upstream, cache=cache)
     return loss, grads
 
 
@@ -1020,7 +1020,6 @@ def deploy_policy(
     meta: dict,
     z_source,
     x0: np.ndarray,
-    goal_params: AugmentedGoalParams | None = None,
 ) -> Trajectory | list[Trajectory]:
     """Roll the mode policy from each start with the budget as a dial.
 
@@ -1040,8 +1039,6 @@ def deploy_policy(
     violations latch y but never terminate.
     """
     scale = np.asarray(meta["obs_scale"], dtype=np.float64)
-    if goal_params is None:
-        goal_params = AugmentedGoalParams(big_c=meta.get("big_c", 1.0))
     is_budget = budget_conditioned(meta)
 
     starts, single = _as_batch(x0, problem.state_dim)
@@ -1062,7 +1059,7 @@ def deploy_policy(
     (actions,) = run.records or [np.empty((0, problem.action_dim))]
     g = np.asarray(problem.goal_margin(run.x), dtype=np.float64)
     h = np.asarray(problem.avoid_margin(run.x), dtype=np.float64)
-    ghat = augmented_margin(g, run.y, run.z, goal_params.big_c)
+    ghat = augmented_margin(g, run.y, run.z, meta.get("big_c", 1.0))
     trajs = [
         Trajectory(
             states=run.x[states],

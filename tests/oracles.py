@@ -211,8 +211,8 @@ def simulate_two_start_bandit(
 
 
 def mlp_reference(weights, biases, x, upstream, tanh=True):
-    """Output, parameter gradients (dW0, db0, dW1, ...) and input gradient
-    of sum(upstream * output) for a net given as weight and bias lists,
+    """Output and parameter gradients (dW0, db0, dW1, ...) of
+    sum(upstream * output) for a net given as weight and bias lists,
     by textbook reverse mode with a fresh array for every operation."""
     acts = [x]
     h = x
@@ -229,7 +229,7 @@ def mlp_reference(weights, biases, x, upstream, tanh=True):
         delta = delta @ weights[i].T
         if tanh and i > 0:
             delta = delta * (1.0 - acts[i] ** 2)
-    return h, grads, delta
+    return h, grads
 
 
 def adam_reference(p, g, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -82,12 +82,11 @@ def test_forward_and_backward_equal_the_textbook_reference(sizes, activation, ro
     x = rng.normal(size=(rows, sizes[0]))
     upstream = rng.normal(size=(rows, sizes[-1]))
     out, cache = approx.mlp_forward(params, x, return_cache=True)
-    grads, dx = approx.mlp_backward(params, x, upstream, cache=cache)
-    want_out, want_grads, want_dx = mlp_reference(
+    grads = approx.mlp_backward(params, x, upstream, cache=cache)
+    want_out, want_grads = mlp_reference(
         params.weights, params.biases, x, upstream, tanh=activation == "tanh"
     )
     assert np.array_equal(out, want_out)
-    assert np.array_equal(dx, want_dx)
     for g, w in zip(grads, want_grads):
         assert np.array_equal(g, w)
 
@@ -106,7 +105,7 @@ def test_value_net_gradients_match_finite_differences(seed):
         out, cache = approx.mlp_forward(params, x, return_cache=True)
         diff = out[:, 0] - target
         loss = float(np.mean(diff**2))
-        grads, _ = approx.mlp_backward(params, x, (2 * diff / 12)[:, None], cache=cache)
+        grads = approx.mlp_backward(params, x, (2 * diff / 12)[:, None], cache=cache)
         return loss, grads
 
     err = approx.finite_difference_check(loss_and_grad, params.trainable(), rng)
@@ -140,29 +139,11 @@ def test_finite_difference_check_catches_a_corrupted_gradient():
     def broken(_params):
         out, cache = approx.mlp_forward(params, x, return_cache=True)
         loss = float(np.mean(out))
-        grads, _ = approx.mlp_backward(
-            params, x, np.full((6, 1), 1.0 / 6.0), cache=cache
-        )
+        grads = approx.mlp_backward(params, x, np.full((6, 1), 1.0 / 6.0), cache=cache)
         grads[0] = grads[0] + 0.5  # sabotage
         return loss, grads
 
     assert approx.finite_difference_check(broken, params.trainable(), rng) > 1e-2
-
-
-def test_backward_input_gradient_matches_finite_differences():
-    rng = _rng(11)
-    params = approx.mlp_init((3, 8, 1), rng)
-    x = rng.normal(size=(1, 3))
-    out, cache = approx.mlp_forward(params, x, return_cache=True)
-    _, dx = approx.mlp_backward(params, x, np.ones((1, 1)), cache=cache)
-    eps = 1e-6
-    for i in range(3):
-        xp = x.copy()
-        xp[0, i] += eps
-        xm = x.copy()
-        xm[0, i] -= eps
-        fd = (approx.mlp_forward(params, xp) - approx.mlp_forward(params, xm)) / (2 * eps)
-        assert dx[0, i] == pytest.approx(float(fd[0, 0]), rel=1e-5, abs=1e-8)
 
 
 # -- gaussian policy head ----------------------------------------------------------

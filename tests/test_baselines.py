@@ -92,7 +92,7 @@ def test_shaping_telescopes_to_the_endpoint_potentials(pendulum):
     xs = [x]
     for _ in range(20):
         u = rng.uniform(-1.0, 1.0, 1)
-        x = pendulum.step(x, u)
+        x, _ = pendulum.step_and_cost(x, u)
         xs.append(x)
     shaped_sum = 0.0
     bare_sum = 0.0

@@ -187,6 +187,18 @@ def test_trainers_that_cannot_step_exit_with_an_error_line(tmp_path):
     assert_refused(tmp_path / "p2", "finetune", "--run", str(tmp_path / "r"))
 
 
+def test_baseline_clip_eps_outside_the_unit_interval_is_refused(tmp_path):
+    config = tmp_path / "wide_clip.yaml"
+    config.write_text(yaml.safe_dump(dict(TINY, baseline=dict(TINY["baseline"], clip_eps=1.5))))
+    for out, command in ((tmp_path / "run", ["train", "--algorithm", "baseline"]),
+                         (tmp_path / "grid.csv", ["gridsearch"])):
+        result = CliRunner().invoke(cli.main, [*command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip().splitlines()[-1] == "Error: clip_eps must be in (0, 1)"
+        assert not out.exists()
+
+
 def test_finetune_takes_big_c_from_the_value_checkpoint(tiny_cfg, rcppo_run, tmp_path):
     # load_artifact checks a value's meta for big_c, not a policy's
     run = tmp_path / "run"

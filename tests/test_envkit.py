@@ -17,6 +17,14 @@ from reachbudget.envkit.tabular import GRID_ACTIONS, TabularProblemView
 from oracles import pendulum_cost_reference, pendulum_step_reference
 
 
+def _step(problem, x, u):
+    return problem.step_and_cost(x, u)[0]
+
+
+def _cost(problem, x, u):
+    return problem.step_and_cost(x, u)[1]
+
+
 # -- pendulum --------------------------------------------------------------------
 
 
@@ -28,7 +36,7 @@ from oracles import pendulum_cost_reference, pendulum_step_reference
 @settings(max_examples=200, deadline=None)
 def test_pendulum_step_matches_reference_transcription(theta, theta_dot, torque):
     prob = pendulum_make()
-    got = prob.step(np.array([theta, theta_dot]), np.array([torque]))
+    got = _step(prob, np.array([theta, theta_dot]), np.array([torque]))
     want = pendulum_step_reference(theta, theta_dot, torque)
     assert got[0] == pytest.approx(want[0], abs=1e-12)
     assert got[1] == pytest.approx(want[1], abs=1e-12)
@@ -37,19 +45,19 @@ def test_pendulum_step_matches_reference_transcription(theta, theta_dot, torque)
 def test_pendulum_angle_wraps_into_half_open_interval(pendulum):
     x = np.array([np.pi - 1e-3, 8.0])
     for _ in range(100):
-        x = pendulum.step(x, np.array([1.0]))
+        x = _step(pendulum, x, np.array([1.0]))
         assert -np.pi <= x[0] < np.pi
         assert -8.0 <= x[1] <= 8.0
 
 
 def test_pendulum_cost_has_free_band_then_quadratic(pendulum):
     x = np.array([1.0, 0.0])
-    assert pendulum.cost(x, np.array([0.05])) == 0.0
-    assert pendulum.cost(x, np.array([0.099])) == 0.0
-    assert pendulum.cost(x, np.array([0.5])) == pytest.approx(2.0)
-    assert pendulum.cost(x, np.array([1.0])) == pytest.approx(8.0)
+    assert _cost(pendulum, x, np.array([0.05])) == 0.0
+    assert _cost(pendulum, x, np.array([0.099])) == 0.0
+    assert _cost(pendulum, x, np.array([0.5])) == pytest.approx(2.0)
+    assert _cost(pendulum, x, np.array([1.0])) == pytest.approx(8.0)
     # torque beyond the limit is clipped before it is priced
-    assert pendulum.cost(x, np.array([3.0])) == pytest.approx(8.0)
+    assert _cost(pendulum, x, np.array([3.0])) == pytest.approx(8.0)
     assert pendulum.max_step_cost() == pytest.approx(8.0)
 
 
@@ -57,7 +65,7 @@ def test_pendulum_cost_has_free_band_then_quadratic(pendulum):
 @settings(max_examples=100, deadline=None)
 def test_pendulum_cost_matches_reference(torque):
     prob = pendulum_make()
-    got = prob.cost(np.array([1.0, 0.0]), np.array([torque]))
+    got = _cost(prob, np.array([1.0, 0.0]), np.array([torque]))
     assert got == pytest.approx(pendulum_cost_reference(torque), abs=1e-12)
 
 
@@ -86,19 +94,6 @@ def test_pendulum_reset_ranges(pendulum):
     assert xs[:, 0].std() > 1.0  # actually spread over the circle
 
 
-def test_pendulum_batched_and_single_calls_agree(pendulum):
-    rng = np.random.default_rng(1)
-    xs = pendulum.sample_initial(rng, 32)
-    us = rng.uniform(-1, 1, (32, 1))
-    batch = pendulum.step(xs, us)
-    for i in range(32):
-        single = pendulum.step(xs[i], us[i])
-        assert np.allclose(batch[i], single)
-    assert np.allclose(
-        pendulum.cost(xs, us), [pendulum.cost(xs[i], us[i]) for i in range(32)]
-    )
-
-
 # -- wind field ------------------------------------------------------------------
 
 
@@ -120,17 +115,17 @@ def test_windfield_vortex_swirls_counterclockwise_for_positive_strength(windfiel
 
 def test_windfield_step_is_clipped_to_the_box(windfield):
     x = np.array([29.5, 29.5])
-    nxt = windfield.step(x, np.array([2.0, 2.0]))
+    nxt = _step(windfield, x, np.array([2.0, 2.0]))
     assert np.all(nxt <= 30.0)
     assert np.all(nxt >= -30.0)
 
 
 def test_windfield_cost_is_half_squared_norm_of_clipped_action(windfield):
     x = np.array([0.0, -20.0])
-    assert windfield.cost(x, np.array([1.0, 1.0])) == pytest.approx(1.0)
-    assert windfield.cost(x, np.array([2.0, 0.0])) == pytest.approx(2.0)
+    assert _cost(windfield, x, np.array([1.0, 1.0])) == pytest.approx(1.0)
+    assert _cost(windfield, x, np.array([2.0, 0.0])) == pytest.approx(2.0)
     # components clip at 2, so (5, 0) prices like (2, 0)
-    assert windfield.cost(x, np.array([5.0, 0.0])) == pytest.approx(2.0)
+    assert _cost(windfield, x, np.array([5.0, 0.0])) == pytest.approx(2.0)
     assert windfield.max_step_cost() == pytest.approx(4.0)
 
 
@@ -236,10 +231,10 @@ def test_tabular_view_round_trips_indices(grid5):
     rng = np.random.default_rng(0)
     x0 = view.sample_initial(rng)
     assert x0.shape == (1,)
-    nxt = view.step(x0, np.array([3.0]))  # action index 3 = right
+    nxt, c = view.step_and_cost(x0, np.array([3.0]))  # action index 3 = right
     s = int(round(x0[0]))
     assert int(round(nxt[0])) == grid5.next_state[s, 3]
-    assert view.cost(x0, np.array([3.0])) == pytest.approx(grid5.cost[s, 3])
+    assert c == pytest.approx(grid5.cost[s, 3])
     assert view.in_goal(np.array([0.0]))
     assert view.goal_distance(np.array([0.0])) == 0.0
 
@@ -269,14 +264,6 @@ def test_zero_width_noise_is_bitwise_identical(pendulum):
     nx2, c2 = pendulum.step_and_cost(x, u)
     assert np.array_equal(nx1, nx2)
     assert np.array_equal(np.asarray(c1), np.asarray(c2))
-
-
-def test_noise_wrapper_forbids_split_step_and_cost(pendulum):
-    wrapped = wrap_with_control_noise(pendulum, NoiseWrapperConfig(0.1, seed=4))
-    with pytest.raises(RuntimeError):
-        wrapped.step(np.array([0.7, -0.4]), np.array([0.3]))
-    with pytest.raises(RuntimeError):
-        wrapped.cost(np.array([0.7, -0.4]), np.array([0.3]))
 
 
 def test_noise_reseed_reproduces_the_same_draws(pendulum):
@@ -318,3 +305,34 @@ def test_noise_wrapper_delegates_geometry(pendulum):
     assert wrapped.goal_margin(x) == pendulum.goal_margin(x)
     assert wrapped.horizon_max == pendulum.horizon_max
     assert np.array_equal(wrapped.obs_scale, pendulum.obs_scale)
+
+
+# -- every problem ---------------------------------------------------------------
+
+
+_PROBLEMS = {
+    "pendulum": lambda request: request.getfixturevalue("pendulum"),
+    "windfield": lambda request: request.getfixturevalue("windfield"),
+    "grid": lambda request: request.getfixturevalue("grid5").as_problem(),
+    "noise0-pendulum": lambda request: wrap_with_control_noise(
+        request.getfixturevalue("pendulum"), NoiseWrapperConfig(0.0, seed=4)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBLEMS))
+def test_batched_and_single_transitions_agree_bitwise(name, request):
+    problem = _PROBLEMS[name](request)
+    rng = np.random.default_rng(1)
+    xs = problem.sample_initial(rng, 32)
+    # actions reach half a box past either bound, so clipping is exercised
+    half = (problem.action_high - problem.action_low) / 2
+    us = rng.uniform(problem.action_low - half, problem.action_high + half, (32, problem.action_dim))
+    nxt, cost = problem.step_and_cost(xs, us)
+    assert nxt.shape == xs.shape and cost.shape == (32,)
+    for i in range(32):
+        one_x, one_c = problem.step_and_cost(xs[i], us[i])
+        assert np.array_equal(one_x, nxt[i]) and np.array_equal(one_c, cost[i])
+    if isinstance(problem, ControlNoiseWrapper):
+        base_x, base_c = problem.base.step_and_cost(xs, us)
+        assert np.array_equal(base_x, nxt) and np.array_equal(base_c, cost)

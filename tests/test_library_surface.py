@@ -9,6 +9,10 @@ call each other fails as a whole. Code that only the tests call
 belongs in the tests (tests/oracles.py keeps the reference
 implementations).
 
+Every dataclass field in src/reachbudget is likewise read, as an
+attribute, somewhere in src/ or bench/: a field that is only ever
+written is state nothing depends on.
+
 The training loop is likewise kept in one place: only
 rcppo._train_loop runs minibatch updates and decays a learning rate.
 """
@@ -80,6 +84,48 @@ def _unused_definitions() -> list[str]:
 def test_every_public_definition_has_a_caller_outside_the_tests():
     unused = _unused_definitions()
     assert not unused, f"public definitions that no program path or bench file uses: {unused}"
+
+
+# Fields that no program path reads but that stay: the acceptance oracle
+# reads a grid's cell coordinates, and the golden digests pin the sweep count.
+UNREAD_FIELDS = {
+    "envkit.tabular.TabularMDP.coords",
+    "reachval.TabularValueTable.sweeps",
+}
+
+
+def _is_dataclass(stmt) -> bool:
+    for dec in getattr(stmt, "decorator_list", ()):
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(path: pathlib.Path) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read_in_the_program_or_bench():
+    fields, reads = set(), set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for stmt in ast.parse(path.read_text()).body:
+            if _is_dataclass(stmt):
+                fields |= {
+                    (f"{module}.{stmt.name}.{node.target.id}", node.target.id)
+                    for node in stmt.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                }
+        reads |= _attribute_reads(path)
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        reads |= _attribute_reads(path)
+    unread = sorted(q for q, name in fields if name not in reads and q not in UNREAD_FIELDS)
+    assert not unread, f"dataclass fields that no program path or bench file reads: {unread}"
 
 
 def _owners(match) -> set[str]:
