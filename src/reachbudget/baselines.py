@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, approx
+from . import BLAS_THREAD_VARS
 from .augment import start_flag
 from .envkit.base import ReachAvoidProblem
 from .envkit.tabular import TabularMDP
-from .rcppo import TrainResult, _init_nets, _run_lanes, _train_loop
+from .rcppo import TrainResult, _collect, _init_nets, _train_loop
 
 
 @dataclass
@@ -60,7 +60,6 @@ def potential_phi(problem: ReachAvoidProblem, x: np.ndarray, cfg: LagrangianRewa
 def lagrangian_reward(
     problem: ReachAvoidProblem,
     x: np.ndarray,
-    u: np.ndarray,
     x_next: np.ndarray,
     cost: np.ndarray | float,
     cfg: LagrangianRewardConfig,
@@ -156,49 +155,23 @@ def train_ppo_baseline(problem: ReachAvoidProblem, cfg: BaselineConfig) -> Train
         },
     }
 
-    def act(x, y, z):
-        obs = x / scale
-        u, raw, logp = approx.policy_sample(policy, obs, rng)
-        vals = approx.mlp_forward(value_params, obs)[:, 0] * val_scale
-        return u, (obs, u, raw, logp, vals)
+    def rewards(run):
+        # each lane's transitions: every state row but its last, to every
+        # state row but its first; a lane that reached the goal closes at 0
+        x, x_next = (np.delete(run.x, rows, axis=0) for rows in (run.last, run.last - run.sizes))
+        return lagrangian_reward(problem, x, x_next, run.costs, rcfg), np.zeros(cfg.n_envs)
 
     def collect():
         x0 = np.atleast_2d(problem.sample_initial(rng, cfg.n_envs))
-        run = _run_lanes(
-            problem, x0, start_flag(problem, x0),
-            np.full(cfg.n_envs, np.inf), act, lambda x, y, z: problem.in_goal(x),
-        )
-        if not run.records:
-            return 0, math.nan, math.nan, None
-        obs, u, raw, logp, vals = run.records
-        # each lane's transitions: every state row but its last, to every
-        # state row but its first
-        rew = lagrangian_reward(
-            problem, np.delete(run.x, run.last, axis=0), u,
-            np.delete(run.x, run.last - run.sizes, axis=0), run.costs, rcfg,
-        )
-        adv_parts, ret_parts, ep_costs = [], [], []
-        for i, ((steps, _), last) in enumerate(zip(run.spans(), run.last)):
-            ep_costs.append(float(run.costs[steps].sum()))
-            if steps.start == steps.stop:
-                continue
-            if run.reached[i]:
-                tail = 0.0
-            else:
-                final_obs = run.x[last : last + 1] / scale
-                tail = float(approx.mlp_forward(value_params, final_obs)[0, 0] * val_scale)
-            adv, ret = _reward_gae(rew[steps], vals[steps], tail, cfg.gamma, cfg.lam)
-            adv_parts.append(adv)
-            ret_parts.append(ret)
-        reached_costs = [c for c, r in zip(ep_costs, run.reached) if r]
-        return (
-            len(run.costs), float(np.mean(run.reached)),
-            float(np.mean(reached_costs)) if reached_costs else math.nan,
-            (obs, raw, logp, np.concatenate(adv_parts), np.concatenate(ret_parts)),
+        return _collect(
+            problem, policy, value_params, val_scale,
+            (x0, start_flag(problem, x0), np.full(cfg.n_envs, np.inf)),
+            lambda x, y, z: x / scale, lambda x, y, z: problem.in_goal(x), rewards, rng,
         )
 
     log_rows = _train_loop(
-        cfg, rng, collect, value_params, val_adam, val_scale, policy=(policy, pol_adam)
+        cfg, rng, collect, lambda rew, v, tail: _reward_gae(rew, v, tail, cfg.gamma, cfg.lam),
+        value_params, val_adam, val_scale, policy=(policy, pol_adam),
     )
     return TrainResult(policy=policy, value=value_params, log_rows=log_rows, meta=meta)
 

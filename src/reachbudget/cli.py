@@ -171,7 +171,20 @@ def _z_source_from_options(cfg, meta, z, zmap, value, tol, force):
     return None
 
 
-@click.group()
+class _Commands(click.Group):
+    """A bad input (a ValueError or RuntimeError, a config that is not
+    YAML) ends any command with one `Error:` line and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort):
+            raise
+        except (ValueError, RuntimeError, yaml.YAMLError) as exc:
+            raise click.ClickException(" ".join(str(exc).split())) from exc
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Budget-conditioned reach-avoid training and deployment."""
 
@@ -188,13 +201,10 @@ def train(config_path, out_dir, seed, algorithm):
     cfg = load_config(config_path)
     _echo_config(cfg)
     problem = build_problem(cfg)
-    try:
-        if algorithm == "rcppo":
-            result = rcppo.train_phase1(problem, phase1_from(cfg, seed))
-        else:
-            result = baselines.train_ppo_baseline(problem, baseline_from(cfg, seed))
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    if algorithm == "rcppo":
+        result = rcppo.train_phase1(problem, phase1_from(cfg, seed))
+    else:
+        result = baselines.train_ppo_baseline(problem, baseline_from(cfg, seed))
     os.makedirs(out_dir, exist_ok=True)
     meta = dict(result.meta)
     meta["config_hash"] = config_hash(cfg)
@@ -228,12 +238,9 @@ def finetune(config_path, run_dir, out_dir, seed, force):
     value, vmeta = load_artifact(os.path.join(run_dir, "value.ckpt"), "value", cfg, force)
     # the value's meta is checked for big_c, the policy's is not
     meta = dict(meta, big_c=vmeta["big_c"])
-    try:
-        value2, rows, meta2 = rcppo.finetune_phase2(
-            problem, policy, value, meta, phase2_from(cfg, seed)
-        )
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    value2, rows, meta2 = rcppo.finetune_phase2(
+        problem, policy, value, meta, phase2_from(cfg, seed)
+    )
     os.makedirs(out_dir, exist_ok=True)
     meta2["config_hash"] = config_hash(cfg)
     save_artifact(os.path.join(out_dir, "value_phase2.ckpt"), value2, meta2)
@@ -290,10 +297,7 @@ def fit_zmap(config_path, value_path, out_path, samples, tol, seed, force):
     problem = build_problem(cfg)
     value, meta = load_artifact(value_path, "value", cfg, force)
     fn = rcppo.value_fn_from(value, meta)
-    try:
-        reg = rcppo.fit_z_regressor(fn, problem, meta, n_samples=samples, tol=tol, seed=seed)
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    reg = rcppo.fit_z_regressor(fn, problem, meta, n_samples=samples, tol=tol, seed=seed)
     save_artifact(out_path, reg, {"config_hash": config_hash(cfg)})
     click.echo(
         f"fit budget regressor on {samples - reg.n_infeasible} states "
@@ -372,13 +376,9 @@ def gridsearch(config_path, out_path, seed):
     _echo_config(cfg)
     problem = build_problem(cfg)
     gs = cfg["grid_search"]
-    try:
-        base_cfg = baseline_from(cfg)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
     rows = baselines.grid_search(
         problem,
-        base_cfg,
+        baseline_from(cfg),
         r_goal_values=gs["r_goal"],
         p_goal_values=gs["p_goal"],
         beta_values=gs["beta"],

@@ -96,7 +96,7 @@ class Phase2Config:
 
 @dataclass
 class EpisodeRecord:
-    """One complete augmented-dynamics episode."""
+    """One lane of a phase-1 or phase-2 RolloutBatch (see its episodes)."""
 
     obs: np.ndarray  # (T, obs_dim) network inputs at visited states
     actions_raw: np.ndarray  # (T, action_dim) pre-clamp draws
@@ -106,28 +106,59 @@ class EpisodeRecord:
     costs: np.ndarray  # (T,)
     z0: float
     reached: bool  # ended inside the augmented goal (vs truncated)
-    tail_value: float  # margin at the terminal state if reached,
-    # learned value of the final state otherwise
+    tail_value: float  # closes the fold (see _collect)
 
 
 @dataclass
 class RolloutBatch:
-    episodes: list[EpisodeRecord]
+    """Finished lanes as flat step arrays, in lane order (see _Lanes).
+
+    signal is what the trainer folds: the augmented goal margins at the
+    visited states (phases 1 and 2) or the scalarized reward (baseline).
+    """
+
+    obs: np.ndarray  # (T, obs_dim) network inputs at visited states
+    actions_raw: np.ndarray  # (T, action_dim) pre-clamp draws
+    log_probs: np.ndarray  # (T,)
+    values: np.ndarray  # (T,) raw-unit value predictions
+    signal: np.ndarray  # (T,)
+    tails: np.ndarray  # (n,) values closing each lane's fold, see _collect
+    z0: np.ndarray  # (n,) episode budgets
+    lanes: _Lanes
 
     @property
     def total_steps(self) -> int:
-        return sum(len(ep.costs) for ep in self.episodes)
+        return len(self.lanes.costs)
 
     @property
     def reach_rate(self) -> float:
-        if not self.episodes:
-            return math.nan
-        return float(np.mean([ep.reached for ep in self.episodes]))
+        return float(np.mean(self.lanes.reached)) if self.lanes.reached.size else math.nan
 
     @property
     def mean_cost_reached(self) -> float:
-        costs = [float(ep.costs.sum()) for ep in self.episodes if ep.reached]
+        run = self.lanes
+        costs = [float(run.costs[s].sum()) for (s, _), r in zip(run.spans(), run.reached) if r]
         return float(np.mean(costs)) if costs else math.nan
+
+    @property
+    def episodes(self) -> list[EpisodeRecord]:
+        """One EpisodeRecord per lane, built anew on every read."""
+        run = self.lanes
+        return [
+            EpisodeRecord(
+                self.obs[s], self.actions_raw[s], self.log_probs[s], self.signal[s],
+                self.values[s], run.costs[s], float(self.z0[i]), bool(run.reached[i]),
+                float(self.tails[i]),
+            )
+            for i, (s, _) in enumerate(run.spans())
+        ]
+
+    def fold(self, fold) -> tuple[np.ndarray, np.ndarray]:
+        """(advantages, returns): fold(signal, values, tail) of each lane
+        that took a step, on that lane's own rows, concatenated."""
+        parts = [fold(self.signal[s], self.values[s], float(tail))
+                 for (s, _), tail in zip(self.lanes.spans(), self.tails) if s.stop > s.start]
+        return np.concatenate([a for a, _ in parts]), np.concatenate([r for _, r in parts])
 
 
 @dataclass
@@ -283,6 +314,41 @@ def _run_lanes(problem: ReachAvoidProblem, x0, y0, z0, act, done) -> _Lanes:
 # -- rollout collection --------------------------------------------------------
 
 
+def _collect(
+    problem, policy, value_params, value_scale, starts, obs_of, done, signal_of, rng,
+    deterministic=False,
+) -> RolloutBatch:
+    """Run lanes from starts = (x0, y0, z0) and record them for training.
+
+    obs_of(x, y, z) gives the network inputs and done(x, y, z) ends a
+    lane (see _run_lanes). Each step records the input, the raw action,
+    its log-probability (the policy's sample, or its clipped mode when
+    deterministic) and the value times value_scale. signal_of(lanes)
+    gives the per-step signal and a new float array of lane tails, read
+    for the lanes that reached the goal; a truncated lane's tail is one
+    value forward of its final state.
+    """
+
+    def act(x, y, z):
+        obs = obs_of(x, y, z)
+        if deterministic:
+            mean = approx.mlp_forward(policy.trunk, obs)
+            u = raw = np.clip(mean, policy.action_low, policy.action_high)
+            logp = approx.log_prob_at_mean(policy, mean, raw)
+        else:
+            u, raw, logp = approx.policy_sample(policy, obs, rng)
+        return u, (obs, raw, logp, approx.mlp_forward(value_params, obs)[:, 0] * value_scale)
+
+    run = _run_lanes(problem, *starts, act, done)
+    signal, tails = signal_of(run)
+    for i in np.flatnonzero(~run.reached):
+        final = slice(run.last[i], run.last[i] + 1)
+        final_obs = obs_of(run.x[final], run.y[final], run.z[final])
+        tails[i] = approx.mlp_forward(value_params, final_obs)[0, 0] * value_scale
+    steps = run.records or [np.empty(0)] * 4  # obs, raw actions, log-probs, values
+    return RolloutBatch(*steps, signal, tails, starts[2], run)
+
+
 def collect_rollouts(
     problem: ReachAvoidProblem,
     policy: approx.GaussianPolicyParams,
@@ -298,59 +364,24 @@ def collect_rollouts(
     Every lane resets once with a fresh initial state and an episode
     budget z0 ~ U[z_min, z_max]; the batch holds exactly n_envs complete
     episodes. An episode ends when the augmented goal margin of the
-    arrival state is nonpositive or at horizon_max. Only cfg.n_envs and
-    cfg.z_min are read.
+    arrival state is nonpositive or at horizon_max, and its signal is
+    that margin at the visited states. Only cfg.n_envs and cfg.z_min
+    are read.
     """
-    n = cfg.n_envs
-    scale = problem.obs_scale
-    big_c = goal_params.big_c
-
-    x0 = np.atleast_2d(problem.sample_initial(rng, n))
+    x0 = np.atleast_2d(problem.sample_initial(rng, cfg.n_envs))
     y0 = start_flag(problem, x0)
-    z0 = rng.uniform(cfg.z_min, z_max, n)
+    z0 = rng.uniform(cfg.z_min, z_max, cfg.n_envs)
 
-    def act(x, y, z):
-        obs = build_obs(x, y, z, scale, cfg.z_min, z_max)
-        if deterministic:
-            mean = approx.mlp_forward(policy.trunk, obs)
-            u = raw = np.clip(mean, policy.action_low, policy.action_high)
-            logp = approx.log_prob_at_mean(policy, mean, raw)
-        else:
-            u, raw, logp = approx.policy_sample(policy, obs, rng)
-        vals = approx.mlp_forward(value_params, obs)[:, 0] * big_c
-        return u, (obs, raw, logp, vals)
+    def margins(run):
+        g = augmented_goal(problem, run.x, run.y, run.z, goal_params)
+        return np.delete(g, run.last), g[run.last]
 
-    run = _run_lanes(
-        problem, x0, y0, z0, act,
+    return _collect(
+        problem, policy, value_params, goal_params.big_c, (x0, y0, z0),
+        lambda x, y, z: build_obs(x, y, z, problem.obs_scale, cfg.z_min, z_max),
         lambda x, y, z: augmented_goal(problem, x, y, z, goal_params) <= 0.0,
+        margins, rng, deterministic,
     )
-    ghat = augmented_goal(problem, run.x, run.y, run.z, goal_params)
-    visited = np.delete(ghat, run.last)
-    obs, raw, logp, vals = run.records or [np.empty(0)] * 4
-    episodes = []
-    for i, ((steps, _), last) in enumerate(zip(run.spans(), run.last)):
-        if run.reached[i]:
-            tail = float(ghat[last])
-        else:
-            final = slice(last, last + 1)
-            final_obs = build_obs(
-                run.x[final], run.y[final], run.z[final], scale, cfg.z_min, z_max
-            )
-            tail = float(approx.mlp_forward(value_params, final_obs)[0, 0] * big_c)
-        episodes.append(
-            EpisodeRecord(
-                obs=obs[steps],
-                actions_raw=raw[steps],
-                log_probs=logp[steps],
-                ghat=visited[steps],
-                values=vals[steps],
-                costs=run.costs[steps],
-                z0=float(z0[i]),
-                reached=bool(run.reached[i]),
-                tail_value=tail,
-            )
-        )
-    return RolloutBatch(episodes=episodes)
 
 
 # -- losses ---------------------------------------------------------------------
@@ -519,25 +550,14 @@ def _ppo_update(
     }
 
 
-def _stack_episodes(batch: RolloutBatch, gamma: float, lam: float, mode: str):
-    """One batch as _train_loop's collect() result: (steps, reach_rate,
-    mean_cost_reached, (obs, actions_raw, log_probs, advantages,
-    lambda-returns)) over the episodes that took a step, concatenated;
-    the arrays are None if none did.
+def _phi_fold(gamma: float, lam: float, mode: str):
+    """Phases 1 and 2's fold, negated: a lower reach value is better."""
 
-    The advantages are the phi-fold ones negated: a lower reach value is
-    better, and the surrogate expects good actions to score higher.
-    """
-    eps = [ep for ep in batch.episodes if len(ep.costs) > 0]
-    folds = [_gae_arrays(ep.ghat, ep.values, ep.tail_value, gamma, lam, mode) for ep in eps]
-    arrays = None if not eps else (
-        np.concatenate([ep.obs for ep in eps]),
-        np.concatenate([ep.actions_raw for ep in eps]),
-        np.concatenate([ep.log_probs for ep in eps]),
-        -np.concatenate([gae for gae, _ in folds]),
-        np.concatenate([ret for _, ret in folds]),
-    )
-    return batch.total_steps, batch.reach_rate, batch.mean_cost_reached, arrays
+    def fold(ghat, values, tail):
+        adv, ret = _gae_arrays(ghat, values, tail, gamma, lam, mode)
+        return -adv, ret
+
+    return fold
 
 
 # the training log schema every trainer shares, in column order
@@ -547,16 +567,16 @@ LOG_COLUMNS = (
 )
 
 
-def _train_loop(cfg, rng, collect, value_params, val_adam, value_scale, policy=None):
+def _train_loop(cfg, rng, collect, fold, value_params, val_adam, value_scale, policy=None):
     """The iteration loop of every trainer; returns its LOG_COLUMNS rows.
 
     Until cfg.total_steps environment steps are collected: decay the
     learning rate (and the entropy coefficient) linearly in those steps,
-    take collect() -> (steps, reach_rate, mean_cost_reached, (obs,
-    actions_raw, log_probs, advantages, returns)), standardize the
-    advantages and run _ppo_update. policy is (params, adam), or None
-    for a value-only refit. A batch without a step would never end the
-    loop, so it is refused.
+    take collect() -> RolloutBatch, fold it with fold(signal, values,
+    tail) -> (advantages, returns) (see RolloutBatch.fold), standardize
+    the advantages and run _ppo_update. policy is (params, adam), or
+    None for a value-only refit. A batch without a step would never end
+    the loop, so it is refused.
     """
     log_rows: list[dict] = []
     env_steps = 0
@@ -566,22 +586,22 @@ def _train_loop(cfg, rng, collect, value_params, val_adam, value_scale, policy=N
         val_adam.base_lr = cfg.lr * decay
         if policy is not None:
             policy[1].base_lr = cfg.lr * decay
-        steps, reach, cost, arrays = collect()
-        if steps == 0:
+        batch = collect()
+        if batch.total_steps == 0:
             raise RuntimeError("no episode took a step: every start was already in the goal")
-        obs, raw, logp, adv, ret = arrays
-        env_steps += steps
+        adv, ret = batch.fold(fold)
+        env_steps += batch.total_steps
         iteration += 1
         update = None
         if policy is not None:
             adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-            update = (*policy, raw, logp, adv, cfg.entropy_coef * decay)
+            update = (*policy, batch.actions_raw, batch.log_probs, adv, cfg.entropy_coef * decay)
         losses = _ppo_update(
-            cfg, rng, iteration, obs, ret, value_params, val_adam, value_scale, update
+            cfg, rng, iteration, batch.obs, ret, value_params, val_adam, value_scale, update
         )
         row = dict(
-            losses, iteration=iteration, env_steps=env_steps, reach_rate=reach,
-            mean_cost_reached=cost,
+            losses, iteration=iteration, env_steps=env_steps, reach_rate=batch.reach_rate,
+            mean_cost_reached=batch.mean_cost_reached,
         )
         log_rows.append({c: row[c] for c in LOG_COLUMNS})
     return log_rows
@@ -642,11 +662,11 @@ def train_phase1(problem: ReachAvoidProblem, cfg: Phase1Config) -> TrainResult:
     }
 
     def collect():
-        batch = collect_rollouts(problem, policy, value_params, cfg, goal_params, rng, z_max)
-        return _stack_episodes(batch, cfg.gamma, cfg.lam, cfg.gae_mode)
+        return collect_rollouts(problem, policy, value_params, cfg, goal_params, rng, z_max)
 
     log_rows = _train_loop(
-        cfg, rng, collect, value_params, val_adam, big_c, policy=(policy, pol_adam)
+        cfg, rng, collect, _phi_fold(cfg.gamma, cfg.lam, cfg.gae_mode), value_params,
+        val_adam, big_c, policy=(policy, pol_adam),
     )
     return TrainResult(policy=policy, value=value_params, log_rows=log_rows, meta=meta)
 
@@ -682,13 +702,15 @@ def finetune_phase2(
     roll_cfg = Phase1Config(n_envs=cfg.n_envs, z_min=meta["z_min"])
 
     def collect():
-        batch = collect_rollouts(
+        return collect_rollouts(
             problem, policy, value_params, roll_cfg, goal_params, rng,
             meta["z_max"], deterministic=True,
         )
-        return _stack_episodes(batch, gamma, cfg.lam, cfg.gae_mode)
 
-    log_rows = _train_loop(cfg, rng, collect, value_params, val_adam, big_c)
+    log_rows = _train_loop(
+        cfg, rng, collect, _phi_fold(gamma, cfg.lam, cfg.gae_mode), value_params,
+        val_adam, big_c,
+    )
     meta2 = dict(meta)
     meta2["phase2_gamma"] = gamma
     return value_params, log_rows, meta2
@@ -1096,8 +1118,12 @@ def evaluate_policy(
     ReachAvoidProblem.reseed), so equal seeds give equal reports.
 
     An episode counts as reaching only if it enters the goal with the
-    safety flag never latched. Costs aggregate over reaching episodes.
+    safety flag never latched. Costs aggregate over reaching episodes;
+    with no episodes the aggregates are None. A negative n_episodes
+    raises ValueError.
     """
+    if n_episodes < 0:
+        raise ValueError(f"n_episodes must be nonnegative, got {n_episodes}")
     rng = np.random.Generator(np.random.PCG64(seed))
     problem.reseed(seed)
     starts = np.array([problem.sample_initial(rng) for _ in range(n_episodes)])

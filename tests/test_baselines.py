@@ -25,7 +25,7 @@ def _rng(seed=0):
 def test_safe_non_goal_step_is_charged_beta_times_cost(pendulum):
     cfg = LagrangianRewardConfig(beta=0.1)
     r = baselines.lagrangian_reward(
-        pendulum, np.array([1.5, 0.0]), np.array([0.5]), np.array([1.0, 0.0]), 2.0, cfg
+        pendulum, np.array([1.5, 0.0]), np.array([1.0, 0.0]), 2.0, cfg
     )
     assert r == pytest.approx(-0.2)
 
@@ -34,7 +34,7 @@ def test_goal_entering_step_earns_the_goal_reward(pendulum):
     cfg = LagrangianRewardConfig(beta=0.1)
     # arrival state crosses zero on the next half-step: inside G
     r = baselines.lagrangian_reward(
-        pendulum, np.array([0.2, -1.0]), np.array([0.0]), np.array([-0.01, 1.0]), 0.0, cfg
+        pendulum, np.array([0.2, -1.0]), np.array([-0.01, 1.0]), 0.0, cfg
     )
     assert r == pytest.approx(20.0)
 
@@ -43,7 +43,7 @@ def test_violating_step_pays_beta_times_fail_plus_cost(windfield):
     cfg = LagrangianRewardConfig(beta=10.0)
     inside_building = np.array([-2.5, -10.0])
     r = baselines.lagrangian_reward(
-        windfield, np.array([-7.0, -10.0]), np.array([2.0, 0.0]), inside_building, 1.0, cfg
+        windfield, np.array([-7.0, -10.0]), inside_building, 1.0, cfg
     )
     assert r == pytest.approx(-210.0)
 
@@ -51,10 +51,10 @@ def test_violating_step_pays_beta_times_fail_plus_cost(windfield):
 def test_per_step_penalty_applies_only_off_the_goal(pendulum):
     cfg = LagrangianRewardConfig(beta=0.0, p_goal=0.5)
     off = baselines.lagrangian_reward(
-        pendulum, np.array([1.5, 0.0]), np.array([0.0]), np.array([1.0, 0.0]), 0.0, cfg
+        pendulum, np.array([1.5, 0.0]), np.array([1.0, 0.0]), 0.0, cfg
     )
     on = baselines.lagrangian_reward(
-        pendulum, np.array([0.2, -1.0]), np.array([0.0]), np.array([-0.01, 1.0]), 0.0, cfg
+        pendulum, np.array([0.2, -1.0]), np.array([-0.01, 1.0]), 0.0, cfg
     )
     assert off == pytest.approx(-0.5)
     assert on == pytest.approx(20.0)
@@ -97,8 +97,8 @@ def test_shaping_telescopes_to_the_endpoint_potentials(pendulum):
     shaped_sum = 0.0
     bare_sum = 0.0
     for a, b in zip(xs[:-1], xs[1:]):
-        shaped_sum += baselines.lagrangian_reward(pendulum, a, None, b, 0.7, cfg)
-        bare_sum += baselines.lagrangian_reward(pendulum, a, None, b, 0.7, bare)
+        shaped_sum += baselines.lagrangian_reward(pendulum, a, b, 0.7, cfg)
+        bare_sum += baselines.lagrangian_reward(pendulum, a, b, 0.7, bare)
     extra = baselines.potential_phi(pendulum, xs[-1], cfg) - baselines.potential_phi(
         pendulum, xs[0], cfg
     )

@@ -418,6 +418,53 @@ def test_evaluate_baseline_policy_needs_no_budget(tiny_cfg, baseline_run):
     assert summary["n_episodes"] == 2
 
 
+def test_evaluate_refuses_a_negative_episode_count(tiny_cfg, rcppo_run):
+    result = CliRunner().invoke(cli.main, [
+        "evaluate", "--config", tiny_cfg, "--policy", f"{rcppo_run}/policy.ckpt",
+        "--z", "50", "--episodes", "-1",
+    ])
+    assert result.exit_code == 1, result.output
+    assert result.output.strip().splitlines()[-1] == (
+        "Error: n_episodes must be nonnegative, got -1"
+    )
+
+
+@pytest.mark.parametrize("case", [
+    "train_unknown_key", "bisect_unknown_key", "gridsearch_bad_type",
+    "bisect_zero_tol", "not_yaml", "unknown_env",
+])
+def test_bad_input_ends_in_one_error_line(case, halfway_value, tmp_path):
+    configs = {
+        "train_unknown_key": "train:\n  bogus: 1\n",
+        "bisect_unknown_key": "train:\n  bogus: 1\n",
+        "gridsearch_bad_type": "train:\n  lr: fast\n",
+        "bisect_zero_tol": "{}\n",
+        "not_yaml": "train: [1, 2\nfoo: {\n",
+        "unknown_env": "env:\n  name: moon\n",
+    }
+    config = tmp_path / "config.yaml"
+    config.write_text(configs[case])
+    command, want = {
+        "train_unknown_key": (["train", "--out", str(tmp_path / "run")],
+                              "unknown config key: train.bogus"),
+        "bisect_unknown_key": (["bisect", "--value", halfway_value, "--state", "1.0,0.0"],
+                               "unknown config key: train.bogus"),
+        "gridsearch_bad_type": (["gridsearch", "--out", str(tmp_path / "grid.csv")],
+                                "config field train.lr: expected number, got str"),
+        "bisect_zero_tol": (["bisect", "--value", halfway_value, "--state", "1.0,0.0",
+                             "--tol", "0", "--force"], "tol must be positive and finite"),
+        "not_yaml": (["train", "--out", str(tmp_path / "run")], "while parsing a flow sequence"),
+        "unknown_env": (["train", "--out", str(tmp_path / "run")],
+                        "config field env.name: unknown environment 'moon'"),
+    }[case]
+    result = CliRunner().invoke(cli.main, [*command, "--config", str(config)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    last = result.output.strip().splitlines()[-1]
+    assert last.startswith("Error: ") and want in last, result.output
+    assert "Traceback" not in result.output
+
+
 def test_stale_config_hash_is_refused_without_force(tiny_cfg, rcppo_run, tmp_path):
     other = dict(TINY, eval={"n_episodes": 2, "seed": 9})
     other_path = tmp_path / "other.yaml"

@@ -15,6 +15,8 @@ written is state nothing depends on.
 
 The training loop is likewise kept in one place: only
 rcppo._train_loop runs minibatch updates and decays a learning rate.
+So is the stepping of lanes: only the one training collect and
+deployment call rcppo._run_lanes.
 """
 
 from __future__ import annotations
@@ -140,12 +142,6 @@ def _owners(match) -> set[str]:
     return owners
 
 
-def _calls_ppo_update(node) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    return getattr(node.func, "id", getattr(node.func, "attr", None)) == "_ppo_update"
-
-
 def _sets_base_lr(node) -> bool:
     if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
         return False
@@ -153,8 +149,24 @@ def _sets_base_lr(node) -> bool:
     return any(isinstance(t, ast.Attribute) and t.attr == "base_lr" for t in targets)
 
 
+def _calls(name):
+    def match(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        return getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+    return match
+
+
 def test_only_the_shared_training_loop_updates_and_decays_the_learning_rate():
     # a trainer hands a collect closure to rcppo._train_loop; a loop of its
     # own would repeat the schedule, the stop rule and the log row
-    assert _owners(_calls_ppo_update) == {"rcppo._train_loop"}
+    assert _owners(_calls("_ppo_update")) == {"rcppo._train_loop"}
     assert _owners(_sets_base_lr) == {"rcppo._train_loop"}
+
+
+def test_only_the_shared_collect_and_deployment_step_lanes():
+    # every trainer records its lanes through rcppo._collect; a per-lane
+    # loop of its own would repeat the tails, the rows and the summary
+    assert _owners(_calls("_run_lanes")) == {"rcppo._collect", "rcppo.deploy_policy"}
+    assert _owners(_calls("EpisodeRecord")) == {"rcppo.RolloutBatch"}

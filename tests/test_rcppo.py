@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import sequential_bisection
 import reachbudget
-from reachbudget import approx, baselines, rcppo
+from reachbudget import approx, baselines, rcppo, reachval
 from reachbudget.augment import AugmentedGoalParams
 from reachbudget.envkit import ControlNoiseWrapper, NoiseWrapperConfig, grid_reachavoid_make
 
@@ -339,6 +339,82 @@ def test_batch_cost_summary_averages_reached_episodes_only(pendulum, small_nets)
         assert batch.mean_cost_reached == pytest.approx(want)
     else:
         assert np.isnan(batch.mean_cost_reached)
+
+
+class _BornInGoal:
+    """The problem with every other start (lanes 0, 2, ...) already in its goal."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def sample_initial(self, rng, n=None):
+        out = np.array(self._inner.sample_initial(rng, n), dtype=np.float64, ndmin=2)
+        # tiny negative angle swinging up through zero: already in G
+        out[::2] = [-0.01, 1.0]
+        return out[0] if n is None else out
+
+
+def test_batch_fold_is_the_per_episode_fold_concatenated(pendulum, small_nets):
+    batch = _collect(_BornInGoal(pendulum), small_nets, seed=17, z_min=0.5)
+    eps = [ep for ep in batch.episodes if len(ep.costs)]
+    assert 0 < len(eps) < 4
+
+    def fold(ghat, values, tail):
+        return reachval._gae_arrays(ghat, values, tail, 0.99, 0.95, "renormalized")
+
+    adv, ret = batch.fold(fold)
+    per = [fold(ep.ghat, ep.values, ep.tail_value) for ep in eps]
+    assert np.array_equal(adv, np.concatenate([a for a, _ in per]))
+    assert np.array_equal(ret, np.concatenate([r for _, r in per]))
+
+
+def test_flat_step_arrays_are_the_episode_fields_in_lane_order(pendulum, small_nets):
+    batch = _collect(_BornInGoal(pendulum), small_nets, seed=18, z_min=0.5)
+    eps = batch.episodes
+    assert [len(ep.costs) for ep in eps] == batch.lanes.sizes.tolist()
+    assert batch.lanes.sizes[0] == 0 and batch.total_steps > 0
+    for flat, name in (
+        (batch.obs, "obs"), (batch.actions_raw, "actions_raw"),
+        (batch.log_probs, "log_probs"), (batch.signal, "ghat"),
+        (batch.values, "values"), (batch.lanes.costs, "costs"),
+    ):
+        assert np.array_equal(flat, np.concatenate([getattr(ep, name) for ep in eps])), name
+    assert [ep.z0 for ep in eps] == batch.z0.tolist()
+    assert [ep.tail_value for ep in eps] == batch.tails.tolist()
+    assert [ep.reached for ep in eps] == batch.lanes.reached.tolist()
+    assert all(
+        type(ep.z0) is float and type(ep.tail_value) is float and type(ep.reached) is bool
+        for ep in eps
+    )
+
+
+def test_baseline_lanes_born_in_the_goal_count_as_reached_but_add_no_rows(
+    pendulum, monkeypatch
+):
+    batches = []
+
+    def recording(*args, **kwargs):
+        batches.append(rcppo._collect(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(baselines, "_collect", recording)
+    cfg = baselines.BaselineConfig(
+        total_steps=1, n_envs=4, epochs=1, minibatch_size=64, hidden=(8, 8)
+    )
+    (row,) = baselines.train_ppo_baseline(_BornInGoal(pendulum), cfg).log_rows
+    (batch,) = batches
+    sizes = batch.lanes.sizes
+    assert sizes[0] == sizes[2] == 0 and batch.lanes.reached[[0, 2]].all()
+    assert batch.total_steps == len(batch.obs) == len(batch.signal) == sizes.sum() > 0
+    adv, _ = batch.fold(lambda r, v, t: baselines._reward_gae(r, v, t, cfg.gamma, cfg.lam))
+    assert len(adv) == batch.total_steps == row["env_steps"]
+    costs = [float(ep.costs.sum()) for ep in batch.episodes if ep.reached]
+    assert costs.count(0.0) >= 2
+    assert row["reach_rate"] == batch.reach_rate == np.mean(batch.lanes.reached) >= 0.5
+    assert row["mean_cost_reached"] == batch.mean_cost_reached == np.mean(costs)
 
 
 # -- training loops -------------------------------------------------------------------
@@ -1151,6 +1227,12 @@ def test_a_lane_born_in_the_goal_has_length_zero(pendulum):
     born = [e for e in rep["episodes"] if e["length"] == 0]
     assert born and len(born) < 12
     assert all(e["reached"] and e["cumulative_cost"] == 0.0 for e in born)
+
+
+def test_a_negative_episode_count_is_refused(pendulum):
+    policy = _small_policy(4, _rng(45))
+    with pytest.raises(ValueError, match="n_episodes must be nonnegative, got -1"):
+        rcppo.evaluate_policy(pendulum, policy, _meta(), 60.0, -1, seed=9)
 
 
 def test_zero_episode_evaluation_runs_no_lanes(pendulum):
