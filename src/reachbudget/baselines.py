@@ -100,6 +100,11 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.clip_eps < 1.0:
             raise ValueError("clip_eps must be in (0, 1)")
+        # shaping leaves the optimal policy alone only at the training discount
+        if self.reward.shaping_enabled and self.reward.gamma != self.gamma:
+            raise ValueError(
+                f"shaping discount reward.gamma={self.reward.gamma} must equal gamma={self.gamma}"
+            )
 
 
 def _reward_gae(

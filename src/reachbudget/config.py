@@ -18,12 +18,12 @@ import yaml
 
 from .baselines import BaselineConfig
 from .envkit import (
+    ControlNoiseWrapper,
+    NoiseWrapperConfig,
     grid_reachavoid_make,
     pendulum_make,
     windfield_make,
-    wrap_with_control_noise,
 )
-from .envkit.noise import NoiseWrapperConfig
 from .rcppo import Phase1Config, Phase2Config
 
 
@@ -201,7 +201,7 @@ def build_problem(cfg: dict):
     else:
         raise ValueError(f"config field env.name: unknown environment {name!r}")
     if env["noise_half_width"] > 0.0:
-        problem = wrap_with_control_noise(
+        problem = ControlNoiseWrapper(
             problem,
             NoiseWrapperConfig(
                 noise_half_width=env["noise_half_width"], seed=env["noise_seed"]

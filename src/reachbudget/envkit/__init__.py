@@ -1,5 +1,5 @@
 from .base import ReachAvoidProblem
-from .noise import ControlNoiseWrapper, NoiseWrapperConfig, wrap_with_control_noise
+from .noise import ControlNoiseWrapper, NoiseWrapperConfig
 from .pendulum import PendulumSwingUp, pendulum_make
 from .tabular import (
     GRID_ACTIONS,
@@ -14,7 +14,6 @@ __all__ = [
     "ReachAvoidProblem",
     "ControlNoiseWrapper",
     "NoiseWrapperConfig",
-    "wrap_with_control_noise",
     "PendulumSwingUp",
     "pendulum_make",
     "GRID_ACTIONS",

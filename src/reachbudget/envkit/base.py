@@ -6,14 +6,20 @@ margin functions that define the goal set G and the avoid set F:
     g(x) <= 0  inside G (shipped environments use a -300 plateau on G)
     h(x) >  0  inside F
 
-The interface a problem implements:
+A problem implements the rows forms, which take rows (n, d) only:
 
-    sample_initial(rng, n)  start states
-    step_and_cost(x, u)     successor x' and the cost c >= 0 charged
-                            for the control actually executed
-    goal_margin, avoid_margin, in_goal, in_avoid, goal_distance
-                            the sets and their margins
-    max_step_cost()         upper bound on one step's cost
+    _sample(rng, n)          n start states
+    _step_and_cost(xb, ub)   successors x' and the costs c >= 0 charged
+                             for the controls actually executed
+    _goal_margin, _avoid_margin, _in_goal, _in_avoid, _goal_distance
+                             the sets and their margins, one per row
+    max_step_cost()          upper bound on one step's cost
+
+The base class owns the public methods sample_initial, step_and_cost,
+goal_margin, avoid_margin, in_goal, in_avoid and goal_distance. Each
+takes one point (d,) or rows (n, d), refuses any other shape with a
+ValueError, calls the rows form, and gives a point's result for a
+point. A rows form that needs another calls that one's rows form.
 
 Dynamics are deterministic. All randomness (initial states, control
 noise) flows through explicitly passed generators.
@@ -32,10 +38,7 @@ class ReachAvoidProblem:
         action_low, action_high: (action_dim,) arrays, low < high elementwise
         horizon_max: int, episode step cap
 
-    and implement the interface in the module docstring.
-
-    All state/action methods accept either a single point `(d,)` or a
-    batch `(n, d)` and vectorize over the batch.
+    and implement the rows forms in the module docstring.
     """
 
     name: str = "base"
@@ -65,7 +68,9 @@ class ReachAvoidProblem:
     # -- dynamics ---------------------------------------------------------
 
     def sample_initial(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        raise NotImplementedError
+        """One start state (state_dim,), or n rows of them."""
+        out = self._sample(rng, 1 if n is None else n)
+        return out[0] if n is None else out
 
     def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Successor f(x, u) and running cost c(x, u) >= 0 of one step.
@@ -73,7 +78,9 @@ class ReachAvoidProblem:
         Both belong to the control actually executed: problems clip u
         to the action box, and a noise wrapper draws its noise once.
         """
-        raise NotImplementedError
+        xb, single = _as_batch(x, self.state_dim)
+        nxt, c = self._step_and_cost(xb, _as_batch(u, self.action_dim)[0])
+        return (nxt[0], c[0]) if single else (nxt, c)
 
     def max_step_cost(self) -> float:
         """Upper bound on the one-step cost, used for budget ranges."""
@@ -89,22 +96,28 @@ class ReachAvoidProblem:
 
     # -- sets and margins -------------------------------------------------
 
+    def _on_rows(self, rows_form, x: np.ndarray) -> np.ndarray:
+        """rows_form on x as rows, and a point's result for a point."""
+        xb, single = _as_batch(x, self.state_dim)
+        out = rows_form(xb)
+        return out[0] if single else out
+
     def goal_margin(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._on_rows(self._goal_margin, x)
 
     def avoid_margin(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._on_rows(self._avoid_margin, x)
 
     def in_goal(self, x: np.ndarray) -> np.ndarray:
         """Geometric membership test for G, independent of goal_margin."""
-        raise NotImplementedError
+        return self._on_rows(self._in_goal, x)
 
     def in_avoid(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._on_rows(self._in_avoid, x)
 
     def goal_distance(self, x: np.ndarray) -> np.ndarray:
         """Nonnegative distance-like quantity, zero at the goal center."""
-        raise NotImplementedError
+        return self._on_rows(self._goal_distance, x)
 
 
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -117,7 +130,3 @@ def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"expected shape (n, {dim}), got {arr.shape}")
     return arr, False
-
-
-def _squeeze(batch: np.ndarray, was_single: bool) -> np.ndarray:
-    return batch[0] if was_single else batch

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ReachAvoidProblem, _as_batch
+from .base import ReachAvoidProblem
 
 
 @dataclass
@@ -19,13 +19,16 @@ class NoiseWrapperConfig:
             raise ValueError("noise_half_width must be >= 0")
 
 
-class ControlNoiseWrapper(ReachAvoidProblem):
+class ControlNoiseWrapper:
     """Perturbs each executed control with seeded uniform noise.
 
     The executed control is u' = clamp(u + xi, action box) with
     xi ~ U[-w, w] drawn once per step_and_cost call; the cost is
     charged on u', never on the commanded u. With w = 0 the wrapper
     reproduces the base problem bitwise.
+
+    Every other public member is the base problem's own, so a base that
+    overrides a public method (a planned sample_initial, say) keeps it.
     """
 
     def __init__(self, problem: ReachAvoidProblem, cfg: NoiseWrapperConfig) -> None:
@@ -33,14 +36,13 @@ class ControlNoiseWrapper(ReachAvoidProblem):
         self.cfg = cfg
         self.reseed(cfg.seed)
         self.name = f"{problem.name}+noise{cfg.noise_half_width:g}"
-        self.state_dim = problem.state_dim
-        self.action_dim = problem.action_dim
-        self.action_low = problem.action_low
-        self.action_high = problem.action_high
-        self.horizon_max = problem.horizon_max
-        self.state_low = problem.state_low
-        self.state_high = problem.state_high
-        self.obs_scale = problem.obs_scale
+
+    def __getattr__(self, name: str):
+        # only names the wrapper lacks get here; unpickling asks for base
+        # and private names before base is set, so those must not recurse
+        if name == "base" or name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.base, name)
 
     def reseed(self, seed: int) -> None:
         """Restart the noise stream from seed mixed with cfg.seed, so
@@ -49,40 +51,10 @@ class ControlNoiseWrapper(ReachAvoidProblem):
         self._rng = np.random.Generator(np.random.PCG64([self.cfg.seed, seed]))
 
     def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ub, single = _as_batch(u, self.action_dim)
+        # the noise for a point (a,) is the same draw as for the row (1, a)
+        executed = np.asarray(u, dtype=np.float64)
         w = self.cfg.noise_half_width
-        if w == 0.0:
-            executed = ub
-        else:
-            executed = ub + self._rng.uniform(-w, w, ub.shape)
-        executed = np.clip(executed, self.action_low, self.action_high)
-        if single:
-            executed = executed[0]
-        return self.base.step_and_cost(x, executed)
-
-    def sample_initial(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        return self.base.sample_initial(rng, n)
-
-    def max_step_cost(self) -> float:
-        return self.base.max_step_cost()
-
-    def in_goal(self, x: np.ndarray) -> np.ndarray:
-        return self.base.in_goal(x)
-
-    def in_avoid(self, x: np.ndarray) -> np.ndarray:
-        return self.base.in_avoid(x)
-
-    def goal_margin(self, x: np.ndarray) -> np.ndarray:
-        return self.base.goal_margin(x)
-
-    def avoid_margin(self, x: np.ndarray) -> np.ndarray:
-        return self.base.avoid_margin(x)
-
-    def goal_distance(self, x: np.ndarray) -> np.ndarray:
-        return self.base.goal_distance(x)
-
-
-def wrap_with_control_noise(
-    problem: ReachAvoidProblem, cfg: NoiseWrapperConfig
-) -> ControlNoiseWrapper:
-    return ControlNoiseWrapper(problem, cfg)
+        if w != 0.0:
+            executed = executed + self._rng.uniform(-w, w, executed.shape)
+        base = self.base
+        return base.step_and_cost(x, np.clip(executed, base.action_low, base.action_high))

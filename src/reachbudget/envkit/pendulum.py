@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ReachAvoidProblem, _as_batch, _squeeze
+from .base import ReachAvoidProblem
 
 _GRAVITY = 10.0
 _MASS = 1.0
@@ -45,16 +45,12 @@ class PendulumSwingUp(ReachAvoidProblem):
         self.obs_scale = np.array([np.pi, _MAX_SPEED])
         self._validate()
 
-    def sample_initial(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        size = 1 if n is None else n
-        theta = rng.uniform(-np.pi, np.pi, size)
-        theta_dot = rng.uniform(-1.0, 1.0, size)
-        out = np.stack([theta, theta_dot], axis=1)
-        return out[0] if n is None else out
+    def _sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        theta = rng.uniform(-np.pi, np.pi, n)
+        theta_dot = rng.uniform(-1.0, 1.0, n)
+        return np.stack([theta, theta_dot], axis=1)
 
-    def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xb, single = _as_batch(x, self.state_dim)
-        ub, _ = _as_batch(u, self.action_dim)
+    def _step_and_cost(self, xb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         torque = np.minimum(np.maximum(ub[:, 0], -_TORQUE_LIMIT), _TORQUE_LIMIT)
         theta, theta_dot = xb[:, 0], xb[:, 1]
         accel = (
@@ -66,32 +62,26 @@ class PendulumSwingUp(ReachAvoidProblem):
         # priced on the torque actually applied, i.e. after clipping
         norm = np.abs(torque)
         c = np.where(norm < 0.1, 0.0, 8.0 * norm**2)
-        return _squeeze(np.stack([new_theta, new_dot], axis=1), single), _squeeze(c, single)
+        return np.stack([new_theta, new_dot], axis=1), c
 
     def max_step_cost(self) -> float:
         return 8.0 * _TORQUE_LIMIT**2
 
-    def in_goal(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
+    def _in_goal(self, xb: np.ndarray) -> np.ndarray:
         theta, theta_dot = xb[:, 0], xb[:, 1]
-        return _squeeze(theta * (theta + theta_dot * _DT) < 0.0, single)
+        return theta * (theta + theta_dot * _DT) < 0.0
 
-    def in_avoid(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
-        return _squeeze(np.zeros(xb.shape[0], dtype=bool), single)
+    def _in_avoid(self, xb: np.ndarray) -> np.ndarray:
+        return np.zeros(xb.shape[0], dtype=bool)
 
-    def goal_margin(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
-        g = np.where(self.in_goal(xb), _GOAL_PLATEAU, 100.0 * xb[:, 0] ** 2)
-        return _squeeze(g, single)
+    def _goal_margin(self, xb: np.ndarray) -> np.ndarray:
+        return np.where(self._in_goal(xb), _GOAL_PLATEAU, 100.0 * xb[:, 0] ** 2)
 
-    def avoid_margin(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
-        return _squeeze(np.full(xb.shape[0], -1.0), single)
+    def _avoid_margin(self, xb: np.ndarray) -> np.ndarray:
+        return np.full(xb.shape[0], -1.0)
 
-    def goal_distance(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
-        return _squeeze(np.abs(xb[:, 0]), single)
+    def _goal_distance(self, xb: np.ndarray) -> np.ndarray:
+        return np.abs(xb[:, 0])
 
 
 def pendulum_make() -> PendulumSwingUp:

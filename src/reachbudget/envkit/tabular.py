@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ReachAvoidProblem, _as_batch, _squeeze
+from .base import ReachAvoidProblem
 
 _GOAL_PLATEAU = -300.0
 
@@ -94,43 +94,32 @@ class TabularProblemView(ReachAvoidProblem):
     def _idx(self, x: np.ndarray) -> np.ndarray:
         return np.rint(x[:, 0]).astype(int)
 
-    def sample_initial(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        size = 1 if n is None else n
-        states = rng.choice(self.mdp.initial_states, size=size, p=self.mdp.initial_probs)
-        out = states.astype(np.float64)[:, None]
-        return out[0] if n is None else out
+    def _sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        states = rng.choice(self.mdp.initial_states, size=n, p=self.mdp.initial_probs)
+        return states.astype(np.float64)[:, None]
 
-    def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xb, single = _as_batch(x, 1)
-        ub, _ = _as_batch(u, 1)
+    def _step_and_cost(self, xb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = self._idx(xb)
         a = np.minimum(np.maximum(np.rint(ub[:, 0]).astype(int), 0), self.mdp.n_actions - 1)
-        nxt = self.mdp.next_state[s, a].astype(np.float64)[:, None]
-        return _squeeze(nxt, single), _squeeze(self.mdp.cost[s, a], single)
+        return self.mdp.next_state[s, a].astype(np.float64)[:, None], self.mdp.cost[s, a]
 
     def max_step_cost(self) -> float:
         return self.mdp.max_step_cost()
 
-    def in_goal(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 1)
-        return _squeeze(self.mdp.goal_mask[self._idx(xb)], single)
+    def _in_goal(self, xb: np.ndarray) -> np.ndarray:
+        return self.mdp.goal_mask[self._idx(xb)]
 
-    def in_avoid(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 1)
-        return _squeeze(self.mdp.avoid_mask[self._idx(xb)], single)
+    def _in_avoid(self, xb: np.ndarray) -> np.ndarray:
+        return self.mdp.avoid_mask[self._idx(xb)]
 
-    def goal_margin(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 1)
-        return _squeeze(self.mdp.g_values[self._idx(xb)], single)
+    def _goal_margin(self, xb: np.ndarray) -> np.ndarray:
+        return self.mdp.g_values[self._idx(xb)]
 
-    def avoid_margin(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 1)
-        return _squeeze(self.mdp.h_values[self._idx(xb)], single)
+    def _avoid_margin(self, xb: np.ndarray) -> np.ndarray:
+        return self.mdp.h_values[self._idx(xb)]
 
-    def goal_distance(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 1)
-        g = self.mdp.g_values[self._idx(xb)]
-        return _squeeze(np.maximum(g, 0.0), single)
+    def _goal_distance(self, xb: np.ndarray) -> np.ndarray:
+        return np.maximum(self.mdp.g_values[self._idx(xb)], 0.0)
 
 
 def grid_reachavoid_make(

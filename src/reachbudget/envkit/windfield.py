@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ReachAvoidProblem, _as_batch, _squeeze
+from .base import ReachAvoidProblem
 
 _BOX = 30.0
 _DT = 1.0
@@ -59,7 +59,7 @@ class WindFieldLite(ReachAvoidProblem):
             xmin, xmax, ymin, ymax = rect
             if not (xmin < xmax and ymin < ymax):
                 raise ValueError(f"degenerate obstacle rectangle {rect}")
-        if bool(np.asarray(self._inside_any_obstacle(goal[None, :]))[0]):
+        if self._in_avoid(goal[None, :])[0]:
             raise ValueError("goal lies inside an obstacle")
         self.action_low = np.array([-2.0, -2.0])
         self.action_high = np.array([2.0, 2.0])
@@ -71,7 +71,9 @@ class WindFieldLite(ReachAvoidProblem):
     # -- wind -------------------------------------------------------------
 
     def wind_at(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
+        return self._on_rows(self._wind_at, x)
+
+    def _wind_at(self, xb: np.ndarray) -> np.ndarray:
         w = np.zeros_like(xb)
         w[:, 0] = _SHEAR_STRENGTH * xb[:, 1] / _BOX
         for cx, cy, circulation in _VORTICES:
@@ -80,30 +82,32 @@ class WindFieldLite(ReachAvoidProblem):
             denom = dx**2 + dy**2 + _VORTEX_CORE_SQ
             w[:, 0] += circulation * (-dy) / denom
             w[:, 1] += circulation * dx / denom
-        return _squeeze(w, single)
+        return w
 
     # -- dynamics ---------------------------------------------------------
 
-    def sample_initial(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        size = 1 if n is None else n
-        px = rng.uniform(-28.0, -20.0, size)
-        py = rng.uniform(-10.0, 10.0, size)
-        out = np.stack([px, py], axis=1)
-        return out[0] if n is None else out
+    def _sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        px = rng.uniform(-28.0, -20.0, n)
+        py = rng.uniform(-10.0, 10.0, n)
+        return np.stack([px, py], axis=1)
 
-    def step_and_cost(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xb, single = _as_batch(x, self.state_dim)
-        ub, _ = _as_batch(u, self.action_dim)
+    def _step_and_cost(self, xb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         uc = np.minimum(np.maximum(ub, self.action_low), self.action_high)
-        nxt = np.minimum(np.maximum(xb + (uc + self.wind_at(xb)) * _DT, -_BOX), _BOX)
-        return _squeeze(nxt, single), _squeeze(0.5 * np.sum(uc**2, axis=1), single)
+        nxt = np.minimum(np.maximum(xb + (uc + self._wind_at(xb)) * _DT, -_BOX), _BOX)
+        return nxt, 0.5 * np.sum(uc**2, axis=1)
 
     def max_step_cost(self) -> float:
         return 0.5 * float(np.sum(self.action_high**2))
 
     # -- sets and margins -------------------------------------------------
 
-    def _inside_any_obstacle(self, xb: np.ndarray) -> np.ndarray:
+    def _in_goal(self, xb: np.ndarray) -> np.ndarray:
+        dx = xb[:, 0] - self.goal[0]
+        dy = xb[:, 1] - self.goal[1]
+        # Open ellipse: the margin's zero level set itself is outside.
+        return dx**2 + 10.0 * dy**2 < 16.0
+
+    def _in_avoid(self, xb: np.ndarray) -> np.ndarray:
         inside = np.zeros(xb.shape[0], dtype=bool)
         for xmin, xmax, ymin, ymax in self.obstacles:
             inside |= (
@@ -114,33 +118,16 @@ class WindFieldLite(ReachAvoidProblem):
             )
         return inside
 
-    def in_goal(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
+    def _goal_margin(self, xb: np.ndarray) -> np.ndarray:
+        return np.where(self._in_goal(xb), _GOAL_PLATEAU, 10.0 * self._goal_distance(xb) - 40.0)
+
+    def _avoid_margin(self, xb: np.ndarray) -> np.ndarray:
+        return np.where(self._in_avoid(xb), 1.0, -1.0)
+
+    def _goal_distance(self, xb: np.ndarray) -> np.ndarray:
         dx = xb[:, 0] - self.goal[0]
         dy = xb[:, 1] - self.goal[1]
-        # Open ellipse: the margin's zero level set itself is outside.
-        return _squeeze(dx**2 + 10.0 * dy**2 < 16.0, single)
-
-    def in_avoid(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
-        return _squeeze(self._inside_any_obstacle(xb), single)
-
-    def goal_margin(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
-        dist = self.goal_distance(xb)
-        g = np.where(self.in_goal(xb), _GOAL_PLATEAU, 10.0 * dist - 40.0)
-        return _squeeze(g, single)
-
-    def avoid_margin(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
-        h = np.where(self._inside_any_obstacle(xb), 1.0, -1.0)
-        return _squeeze(h, single)
-
-    def goal_distance(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.state_dim)
-        dx = xb[:, 0] - self.goal[0]
-        dy = xb[:, 1] - self.goal[1]
-        return _squeeze(np.sqrt(dx**2 + 10.0 * dy**2), single)
+        return np.sqrt(dx**2 + 10.0 * dy**2)
 
 
 def windfield_make(goal_xy: tuple[float, float] = (15.0, 0.0)) -> WindFieldLite:

@@ -762,6 +762,8 @@ def _bisect(value_fn, x, y, rows: bool, z_min, z_max, tol, scan_points):
         raise ValueError("z_min and z_max must be finite")
     if z_max < z_min:
         raise ValueError("need z_min <= z_max")
+    if scan_points != 0 and scan_points < 2:
+        raise ValueError(f"scan_points must be 0 or at least 2, got {scan_points}")
 
     def values_at(states, per_state: int, zs) -> list[float]:
         z = np.asarray(zs, dtype=np.float64)
@@ -784,11 +786,11 @@ def _bisect(value_fn, x, y, rows: bool, z_min, z_max, tol, scan_points):
 
     n = len(y) if rows else 1
     # linspace sets both ends exactly, so the scan also gives V(z_min), V(z_max)
-    first = np.linspace(z_min, z_max, scan_points).tolist() if scan_points > 1 else [z_min, z_max]
+    first = np.linspace(z_min, z_max, scan_points).tolist() if scan_points else [z_min, z_max]
     per = len(first)
     v_first = values_at(range(n), per, first * n)
     violations = [0] * n
-    if scan_points > 1:
+    if scan_points:
         signs = np.reshape(v_first, (n, per)) <= 0.0
         violations = np.sum(signs[:, :-1] & ~signs[:, 1:], axis=1).tolist()
     out: list = [None] * n
@@ -868,7 +870,7 @@ def bisect_z_star(
     y exactly as given here and a 1-D float64 array of budgets z; its
     result must broadcast to z's shape. It must be nonincreasing in z
     for bisection to be exact; learned values may wobble, so
-    scan_points > 1 adds a coarse sweep that counts feasible-to-
+    scan_points >= 2 adds a coarse sweep that counts feasible-to-
     infeasible sign regressions and reports them (and warns) instead of
     hiding them.
 
@@ -891,10 +893,11 @@ def bisect_z_star(
 
     Raises:
         Infeasible: value at z_max is still positive.
-        ValueError: tol, z_min or z_max is not finite, tol <= 0 or
-            z_max < z_min; or the value is NaN at any asked budget,
-            including midpoints the walk does not take. NaN has no
-            sign, so no budget can be read from it.
+        ValueError: tol, z_min or z_max is not finite, tol <= 0,
+            z_max < z_min or scan_points is 1 or negative; or the
+            value is NaN at any asked budget, including midpoints the
+            walk does not take. NaN has no sign, so no budget can be
+            read from it.
     """
     (sol,) = _bisect(value_fn, x, y, False, z_min, z_max, tol, scan_points)
     if isinstance(sol, Infeasible):

@@ -177,6 +177,15 @@ def test_reward_gae_with_lambda_one_is_the_discounted_return_residual():
 # -- trainer -----------------------------------------------------------------------------
 
 
+def test_shaping_at_a_discount_other_than_the_training_one_is_refused():
+    # the reward would shape with 0.99 while advantages discount by 0.9
+    shaped = LagrangianRewardConfig(shaping_enabled=True)
+    with pytest.raises(ValueError, match="reward.gamma=0.99 must equal gamma=0.9"):
+        BaselineConfig(gamma=0.9, reward=shaped)
+    assert BaselineConfig(gamma=0.9, reward=LagrangianRewardConfig(gamma=0.9, shaping_enabled=True))
+    assert BaselineConfig(gamma=0.9, reward=LagrangianRewardConfig(shaping_enabled=False))
+
+
 def test_baseline_policy_consumes_the_raw_state_only(pendulum):
     cfg = BaselineConfig(total_steps=0, hidden=(8, 8))
     res = baselines.train_ppo_baseline(pendulum, cfg)

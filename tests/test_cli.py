@@ -431,7 +431,7 @@ def test_evaluate_refuses_a_negative_episode_count(tiny_cfg, rcppo_run):
 
 @pytest.mark.parametrize("case", [
     "train_unknown_key", "bisect_unknown_key", "gridsearch_bad_type",
-    "bisect_zero_tol", "not_yaml", "unknown_env",
+    "bisect_zero_tol", "not_yaml", "unknown_env", "bisect_negative_scan", "bisect_one_point_scan",
 ])
 def test_bad_input_ends_in_one_error_line(case, halfway_value, tmp_path):
     configs = {
@@ -441,6 +441,8 @@ def test_bad_input_ends_in_one_error_line(case, halfway_value, tmp_path):
         "bisect_zero_tol": "{}\n",
         "not_yaml": "train: [1, 2\nfoo: {\n",
         "unknown_env": "env:\n  name: moon\n",
+        "bisect_negative_scan": "{}\n",
+        "bisect_one_point_scan": "{}\n",
     }
     config = tmp_path / "config.yaml"
     config.write_text(configs[case])
@@ -456,6 +458,12 @@ def test_bad_input_ends_in_one_error_line(case, halfway_value, tmp_path):
         "not_yaml": (["train", "--out", str(tmp_path / "run")], "while parsing a flow sequence"),
         "unknown_env": (["train", "--out", str(tmp_path / "run")],
                         "config field env.name: unknown environment 'moon'"),
+        "bisect_negative_scan": (["bisect", "--value", halfway_value, "--state", "1.0,0.0",
+                                  "--scan", "-3", "--force"],
+                                 "scan_points must be 0 or at least 2, got -3"),
+        "bisect_one_point_scan": (["bisect", "--value", halfway_value, "--state", "1.0,0.0",
+                                   "--scan", "1", "--force"],
+                                  "scan_points must be 0 or at least 2, got 1"),
     }[case]
     result = CliRunner().invoke(cli.main, [*command, "--config", str(config)])
     assert result.exit_code == 1, result.output

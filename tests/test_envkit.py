@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,6 @@ from reachbudget.envkit import (
     grid_reachavoid_make,
     pendulum_make,
     windfield_make,
-    wrap_with_control_noise,
 )
 from reachbudget.envkit.noise import NoiseWrapperConfig
 from reachbudget.envkit.tabular import GRID_ACTIONS, TabularProblemView
@@ -257,7 +259,7 @@ def test_testbed_tables_are_exact(testbed):
 
 
 def test_zero_width_noise_is_bitwise_identical(pendulum):
-    wrapped = wrap_with_control_noise(pendulum, NoiseWrapperConfig(0.0, seed=4))
+    wrapped = ControlNoiseWrapper(pendulum, NoiseWrapperConfig(0.0, seed=4))
     x = np.array([0.7, -0.4])
     u = np.array([0.3])
     nx1, c1 = wrapped.step_and_cost(x, u)
@@ -267,7 +269,7 @@ def test_zero_width_noise_is_bitwise_identical(pendulum):
 
 
 def test_noise_reseed_reproduces_the_same_draws(pendulum):
-    w1 = wrap_with_control_noise(pendulum, NoiseWrapperConfig(0.1, seed=9))
+    w1 = ControlNoiseWrapper(pendulum, NoiseWrapperConfig(0.1, seed=9))
     x = np.array([0.7, -0.4])
     u = np.array([0.3])
     first = [w1.step_and_cost(x, u)[0] for _ in range(5)]
@@ -282,7 +284,7 @@ def test_noise_perturbs_the_charged_action_consistently():
     # x' - x - wind = u' * dt, so the charged cost must price exactly
     # that recovered control
     field = windfield_make()
-    wrapped = wrap_with_control_noise(field, NoiseWrapperConfig(0.1, seed=2))
+    wrapped = ControlNoiseWrapper(field, NoiseWrapperConfig(0.1, seed=2))
     rng = np.random.default_rng(5)
     for _ in range(50):
         x = field.sample_initial(rng)
@@ -307,6 +309,21 @@ def test_noise_wrapper_delegates_geometry(pendulum):
     assert np.array_equal(wrapped.obs_scale, pendulum.obs_scale)
 
 
+@pytest.mark.parametrize("clone", [lambda w: pickle.loads(pickle.dumps(w)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_noise_wrapper_copies_step_like_the_original(pendulum, clone):
+    # grid_search pickles the problem for its worker processes
+    wrapped = ControlNoiseWrapper(pendulum, NoiseWrapperConfig(0.1, seed=3))
+    wrapped.step_and_cost(np.array([0.7, -0.4]), np.array([0.3]))
+    twin = clone(wrapped)
+    assert twin.name == wrapped.name and twin.horizon_max == pendulum.horizon_max
+    xs = pendulum.sample_initial(np.random.default_rng(6), 8)
+    us = np.full((8, 1), 0.5)
+    for _ in range(3):
+        a, b = wrapped.step_and_cost(xs, us), twin.step_and_cost(xs, us)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
 # -- every problem ---------------------------------------------------------------
 
 
@@ -314,10 +331,20 @@ _PROBLEMS = {
     "pendulum": lambda request: request.getfixturevalue("pendulum"),
     "windfield": lambda request: request.getfixturevalue("windfield"),
     "grid": lambda request: request.getfixturevalue("grid5").as_problem(),
-    "noise0-pendulum": lambda request: wrap_with_control_noise(
+    "noise0-pendulum": lambda request: ControlNoiseWrapper(
         request.getfixturevalue("pendulum"), NoiseWrapperConfig(0.0, seed=4)
     ),
 }
+
+
+_SET_METHODS = ("goal_margin", "avoid_margin", "in_goal", "in_avoid", "goal_distance")
+
+
+def _state_points(problem, rng):
+    """Every state of a tabular view; 64 uniform draws from a state box."""
+    if isinstance(problem, TabularProblemView):
+        return np.arange(problem.mdp.n_states, dtype=np.float64)[:, None]
+    return rng.uniform(problem.state_low, problem.state_high, (64, problem.state_dim))
 
 
 @pytest.mark.parametrize("name", sorted(_PROBLEMS))
@@ -336,3 +363,21 @@ def test_batched_and_single_transitions_agree_bitwise(name, request):
     if isinstance(problem, ControlNoiseWrapper):
         base_x, base_c = problem.base.step_and_cost(xs, us)
         assert np.array_equal(base_x, nxt) and np.array_equal(base_c, cost)
+
+    point_methods = _SET_METHODS + (("wind_at",) if name == "windfield" else ())
+    points = np.concatenate([xs, nxt, _state_points(problem, rng)])
+    for method in point_methods:
+        fn = getattr(problem, method)
+        rows = fn(points)
+        assert rows.shape[0] == len(points)
+        for i, x in enumerate(points):
+            assert np.array_equal(fn(x), rows[i]), (method, x)
+
+    one = problem.sample_initial(np.random.default_rng(2))
+    assert np.array_equal(one, problem.sample_initial(np.random.default_rng(2), 1)[0])
+
+    for method in point_methods:
+        with pytest.raises(ValueError):
+            getattr(problem, method)(np.zeros(problem.state_dim + 1))
+    with pytest.raises(ValueError):
+        problem.step_and_cost(xs, np.zeros((32, problem.action_dim + 1)))

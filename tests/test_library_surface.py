@@ -16,7 +16,8 @@ written is state nothing depends on.
 The training loop is likewise kept in one place: only
 rcppo._train_loop runs minibatch updates and decays a learning rate.
 So is the stepping of lanes: only the one training collect and
-deployment call rcppo._run_lanes.
+deployment call rcppo._run_lanes. So is the point-or-rows rule: only
+envkit.base.ReachAvoidProblem and deployment call _as_batch.
 """
 
 from __future__ import annotations
@@ -170,3 +171,9 @@ def test_only_the_shared_collect_and_deployment_step_lanes():
     # loop of its own would repeat the tails, the rows and the summary
     assert _owners(_calls("_run_lanes")) == {"rcppo._collect", "rcppo.deploy_policy"}
     assert _owners(_calls("EpisodeRecord")) == {"rcppo.RolloutBatch"}
+
+
+def test_only_the_problem_base_class_and_deployment_take_a_point_or_rows():
+    # a problem writes the rows forms and ReachAvoidProblem turns a point
+    # into one row and back; deployment takes one start or many
+    assert _owners(_calls("_as_batch")) == {"envkit.base.ReachAvoidProblem", "rcppo.deploy_policy"}

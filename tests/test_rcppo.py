@@ -673,6 +673,13 @@ def test_bisection_validates_tolerance_and_bracket():
         rcppo.bisect_z_star(lambda x, y, z: -z, None, 1.0, 10.0, 0.0)
 
 
+@pytest.mark.parametrize("scan_points", [1, -3])
+def test_bisection_refuses_a_scan_that_takes_no_sweep(scan_points):
+    # without the check, both return monotone_violations 0, a count never taken
+    with pytest.raises(ValueError, match="scan_points must be 0 or at least 2"):
+        rcppo.bisect_z_star(lambda x, y, z: 5.0 - z, None, 1.0, 0.0, 10.0, scan_points=scan_points)
+
+
 @pytest.mark.parametrize("value, z_min, z_max, tol", [
     # without the check, each of these returns a budget
     pytest.param(lambda x, y, z: 100.0 - z, -1.0, 600.0, math.nan, id="nan-tol"),
