@@ -1,9 +1,12 @@
 """Small MLPs with explicit backprop, a Gaussian policy head, and Adam.
 
-Everything is plain float64 numpy. Networks are two tanh hidden layers
-by default. Gradients come from hand-written reverse mode; the
-finite_difference_check helper is the tool the test suite points at
-them.
+Everything is plain numpy. A net's dtype is the dtype of its one
+parameter vector: every constructor and checkpoint load gives float64,
+and only MlpParams.astype makes a net of another dtype. The forward and
+backward passes and Adam run in the net's dtype. Networks are two tanh
+hidden layers by default. Gradients come from hand-written reverse
+mode; the finite_difference_check helper, float64 only, is the tool the
+test suite points at them.
 
 Each net keeps its parameters in one contiguous vector, `flat`: the
 weights and biases, in trainable() order, and for a policy then its
@@ -27,6 +30,7 @@ timestamp so identical parameters produce identical bytes.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
@@ -71,7 +75,8 @@ class MlpParams:
     every layer except the last. Supported activations: "tanh" and
     "identity". Construction copies the given arrays into one new
     float64 vector, the attribute flat, and makes weights and biases
-    views into it, so writing them in place writes the vector.
+    views into it, so writing them in place writes the vector. The
+    net's dtype is that of flat; astype gives a copy in another one.
     """
 
     weights: list[np.ndarray]
@@ -85,6 +90,12 @@ class MlpParams:
         """Make the parameters the views of flat, which holds their values."""
         views = _views(flat, [np.shape(a) for a in self.trainable()])
         self.flat, self.weights, self.biases = flat, views[0::2], views[1::2]
+
+    def astype(self, dtype) -> "MlpParams":
+        """A copy of the net whose one vector is flat cast to dtype."""
+        net = copy.copy(self)
+        net._adopt(self.flat.astype(dtype))
+        return net
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -132,10 +143,11 @@ def mlp_forward(
 ):
     """Forward pass; x is (n, d_in) or (d_in,).
 
+    x is cast to the net's dtype, which the output and cache share.
     With return_cache the post-activation of every layer comes back for
     reuse by mlp_backward.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x, dtype=params.flat.dtype)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite network input")
     single = arr.ndim == 1
@@ -167,18 +179,20 @@ def mlp_backward(
 
     The grads come interleaved as (dW0, db0, dW1, ...), matching
     MlpParams.trainable() order, as views into one vector laid out
-    like params.flat: out if given, else a fresh one. The input
-    gradient is never formed: the loop stops at layer 0.
+    like params.flat: out if given, else a fresh one in the net's
+    dtype, to which x and upstream_grad are cast. The input gradient is
+    never formed: the loop stops at layer 0.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    dtype = params.flat.dtype
+    arr = np.asarray(x, dtype=dtype)
     single = arr.ndim == 1
     if cache is None:
         _, cache = mlp_forward(params, arr, return_cache=True)
-    up = np.asarray(upstream_grad, dtype=np.float64)
+    up = np.asarray(upstream_grad, dtype=dtype)
     if single:
         up = up[None, :]
     n_layers = len(params.weights)
-    grad = np.empty(params.flat.size) if out is None else out
+    grad = np.empty(params.flat.size, dtype) if out is None else out
     grads = _views(grad, [a.shape for a in params.trainable()])
     delta = up  # gradient at the current layer's pre-activation
     for i in range(n_layers - 1, -1, -1):
@@ -324,9 +338,9 @@ def policy_logp_backward(
 
 @dataclass
 class AdamState:
-    """Adam accumulators, one vector each laid out like the net's flat,
-    and the learning rate; trainers that decay the rate set base_lr
-    before each iteration."""
+    """Adam accumulators, one vector each laid out like the net's flat
+    and in its dtype, and the learning rate; trainers that decay the
+    rate set base_lr before each iteration."""
 
     m: np.ndarray
     v: np.ndarray
@@ -338,8 +352,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], base_lr: float) -> "AdamState":
-        n = sum(p.size for p in params)
-        return cls(m=np.zeros(n), v=np.zeros(n), step=0, base_lr=base_lr)
+        n, dtype = sum(p.size for p in params), params[0].dtype
+        return cls(m=np.zeros(n, dtype), v=np.zeros(n, dtype), step=0, base_lr=base_lr)
 
 
 def adam_step(
@@ -465,8 +479,12 @@ def finite_difference_check(
     loss_and_grad(params) must return (scalar loss, grads aligned with
     params). Checks a random subset of coordinates per array; exact
     zeros on both sides count as agreement. Near-kink coordinates are
-    the caller's responsibility (jitter parameters first).
+    the caller's responsibility (jitter parameters first). The params
+    must be float64, since float32 rounding is not small against these
+    steps; another dtype raises ValueError.
     """
+    if any(arr.dtype != np.float64 for arr in params):
+        raise ValueError("finite_difference_check needs float64 parameters")
     _, grads = loss_and_grad(params)
     worst = 0.0
     for arr, g in zip(params, grads):

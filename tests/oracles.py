@@ -240,6 +240,22 @@ def adam_reference(p, g, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
     return p, m, v
 
 
+def regression_fit_reference(weights, biases, x, targets, epochs, lr):
+    """Weights and biases of a tanh net with one output after epochs
+    full-batch Adam steps (adam_reference) on the mean squared error
+    against targets, all in float64."""
+    params = [np.array(a, dtype=np.float64) for pair in zip(weights, biases) for a in pair]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for step in range(1, epochs + 1):
+        out, _ = mlp_reference(params[0::2], params[1::2], x, np.zeros((len(x), 1)))
+        upstream = 2.0 * (out - targets[:, None]) / len(x)
+        _, grads = mlp_reference(params[0::2], params[1::2], x, upstream)
+        for i, g in enumerate(grads):
+            params[i], m[i], v[i] = adam_reference(params[i], g, m[i], v[i], step, lr)
+    return params[0::2], params[1::2]
+
+
 def enumerate_best_whole_grid(objective, step=1e-3):
     """Best (p_a, p_b) on the probability grid, scored in one call.
 

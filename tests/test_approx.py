@@ -8,7 +8,7 @@ import pytest
 
 import reachbudget
 
-from reachbudget import approx
+from reachbudget import approx, rcppo
 
 from oracles import adam_reference, mlp_reference, normal_logpdf
 
@@ -144,6 +144,51 @@ def test_finite_difference_check_catches_a_corrupted_gradient():
         return loss, grads
 
     assert approx.finite_difference_check(broken, params.trainable(), rng) > 1e-2
+
+
+def test_finite_difference_check_refuses_parameters_that_are_not_float64():
+    rng = _rng(5)
+    params = approx.mlp_init((2, 8, 1), rng).astype(np.float32)
+    x = rng.normal(size=(6, 2))
+
+    def loss_and_grad(_params):
+        raise AssertionError("checked float32 parameters")
+
+    with pytest.raises(ValueError, match="float64"):
+        approx.finite_difference_check(loss_and_grad, params.trainable(), rng)
+
+
+# -- float32 nets ------------------------------------------------------------------
+
+
+def test_a_float32_net_stays_float32_from_forward_to_adam():
+    # a silent upcast would run float64 kernels and fail nothing else
+    rng = _rng(21)
+    net64 = approx.mlp_init((3, 16, 16, 1), rng)
+    net64.flat += 0.1 * rng.normal(size=net64.flat.size)  # nonzero biases
+    net = net64.astype(np.float32)
+    assert net.flat.dtype == np.float32 and not np.shares_memory(net.flat, net64.flat)
+    assert all(np.shares_memory(a, net.flat) for a in net.trainable())
+    x, targets = rng.normal(size=(12, 3)), rng.normal(size=12)
+
+    out, cache = approx.mlp_forward(net, x, return_cache=True)
+    assert out.dtype == np.float32 and all(h.dtype == np.float32 for h in cache)
+    upstream = rng.normal(size=(12, 1))
+    grads = approx.mlp_backward(net, x, upstream, cache=cache)
+    assert grads[0].base.dtype == np.float32
+    # the gradients are those of the float64 reference on the upcast net
+    up = net.astype(np.float64)
+    x32 = x.astype(np.float32).astype(np.float64)
+    _, want = mlp_reference(up.weights, up.biases, x32, upstream)
+    for g, w in zip(grads, want):
+        np.testing.assert_allclose(g, w, rtol=1e-4, atol=1e-5 * np.max(np.abs(w)))
+
+    _, loss_grads = rcppo.value_loss(net, x, targets, 2.0)
+    assert loss_grads[0].base.dtype == np.float32
+    adam = approx.AdamState.for_params(net.trainable(), 1e-3)
+    assert adam.m.dtype == adam.v.dtype == np.float32
+    approx.adam_step(adam, net.trainable(), loss_grads)
+    assert net.flat.dtype == adam.m.dtype == adam.v.dtype == np.float32
 
 
 # -- gaussian policy head ----------------------------------------------------------

@@ -11,7 +11,10 @@ a refactor of either that moves one bit of any output fails here. The
 regressor, grid and advantage pins were captured before the augmented
 transition and the reach backup each got a single definition; the
 12x12 grid, bisection and backup-sweep pins before the greedy sweep
-took the minimum successor value ahead of its one backup.
+took the minimum successor value ahead of its one backup. The two
+regressor pins and the regressor checkpoint pin were captured again
+when the regressor's Adam epochs moved to float32; the labels and the
+float64 artifact layout did not change.
 
 The digests hold for a given numpy and BLAS build; a different build
 may round a matmul differently and needs the pins captured again.
@@ -303,8 +306,8 @@ PINS = {
     "tabular-greedy-undiscounted": "660415c200c05309b0e4407a60fca1414bead736912c6a7f31af355ffff95806",
     "tabular-policy": "40c61d83931ffcac1f4220c21f0481135b0db28da6f0dcd6095fb21c3d975cf2",
     "tabular-q": "5548fa0ffc0653db417b920195c3a4960e741dd6177684dbc6e9ad98f1d56124",
-    "zmap-pendulum": "11e4d9efc8bef08f74bf454323fb4b2438886cb64fd7e7e571b8a1467eaebeed",
-    "zmap-windfield": "beafb2b201bf9b3757d799fb1b4ddb8d506342f517318cca469e5f3dff4d88ee",
+    "zmap-pendulum": "a3cde411215006e3b7bfce879c96528090264b1825b7c363bcd47eff8884dba7",
+    "zmap-windfield": "240895b2c7afea5b445e32b5880f7f6fb251d9f083b48ba145f4645a98e56001",
 }
 
 
@@ -316,13 +319,14 @@ def test_short_runs_match_their_pinned_digests(case):
 
 # sha256 of the checkpoint files the CLI writes for seeded nets: the
 # phase-1 policy and value of the short pendulum run above and the
-# pendulum budget regressor. Captured while each net still held its
-# arrays one per layer, so moving the parameters into one vector must
-# leave the saved bytes alone.
+# pendulum budget regressor. The policy and value pins were captured
+# while each net still held its arrays one per layer, so moving the
+# parameters into one vector must leave the saved bytes alone; the
+# regressor pin, again once its fit ran in float32.
 CHECKPOINT_PINS = {
     "policy": "13effa5c8a8624e4cf1a46232f61d75fdaf7691845a5106e2df837e3d9db53ad",
     "value": "e9937e02b65df71fcf24683c430a68f9007b73a439d4f9a6692588a175b5f300",
-    "zmap": "1815e8018aaee60d40ce1ff0b750a572f343e41c46dbb04366306a47cf22cbd3",
+    "zmap": "2b2b2716bbecdbc1354c7c6609003cf947f8f721d9b35fb8efa29a3736187f98",
 }
 
 

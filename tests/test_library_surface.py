@@ -17,13 +17,19 @@ The training loop is likewise kept in one place: only
 rcppo._train_loop runs minibatch updates and decays a learning rate.
 So is the stepping of lanes: only the one training collect and
 deployment call rcppo._run_lanes. So is the point-or-rows rule: only
-envkit.base.ReachAvoidProblem and deployment call _as_batch.
+envkit.base.ReachAvoidProblem and deployment call _as_batch. So is
+float32: only rcppo.fit_z_regressor makes a float32 net, and every
+checkpoint loads as float64 nets.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+
+import numpy as np
+
+from reachbudget import approx, cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "reachbudget"
@@ -177,3 +183,36 @@ def test_only_the_problem_base_class_and_deployment_take_a_point_or_rows():
     # a problem writes the rows forms and ReachAvoidProblem turns a point
     # into one row and back; deployment takes one start or many
     assert _owners(_calls("_as_batch")) == {"envkit.base.ReachAvoidProblem", "rcppo.deploy_policy"}
+
+
+def _names_float32(node) -> bool:
+    """np.float32, np.single or a float32 dtype string."""
+    if isinstance(node, ast.Constant):
+        return node.value in ("float32", "f4", "<f4")
+    return isinstance(node, ast.Attribute) and node.attr in ("float32", "single")
+
+
+def test_only_the_budget_regressor_fit_makes_a_float32_net():
+    # the bench replays deployment at 1e-9 and checks trainer gradients by
+    # central differences at eps 1e-6, and neither holds in float32
+    assert _owners(_names_float32) == {"rcppo.fit_z_regressor"}
+
+
+def test_every_checkpoint_loads_as_float64_nets_even_from_float32_arrays(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(0))
+    policy = approx.policy_init(2, np.array([-1.0]), np.array([1.0]), rng, hidden=(4,))
+    net = approx.mlp_init((3, 4, 1), rng)
+    files = {
+        "policy": approx.policy_to_arrays(policy),
+        "value": approx.mlp_to_arrays("value", net),
+        "zmap": dict(approx.mlp_to_arrays("zmap", net), zmap_obs_scale=np.ones(2)),
+    }
+    meta = {"obs_scale": [1.0, 1.0], "z_min": -1.0, "z_max": 10.0, "big_c": 5.0,
+            "holdout_mae": 0.5, "n_infeasible": 0}
+    for kind, arrays in files.items():
+        path = str(tmp_path / f"{kind}.ckpt")
+        approx.save_checkpoint(path, {k: a.astype(np.float32) for k, a in arrays.items()}, meta)
+        obj, _ = cli.load_artifact(path, kind, {}, False)
+        loaded = obj.net if kind == "zmap" else obj
+        assert loaded.flat.dtype == np.float64, kind
+        assert all(a.dtype == np.float64 for a in loaded.trainable()), kind

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sequential_bisection
+from oracles import mlp_reference, regression_fit_reference, sequential_bisection
+from test_golden import _zmap
 import reachbudget
-from reachbudget import approx, baselines, rcppo, reachval
+from reachbudget import approx, baselines, cli, rcppo, reachval
 from reachbudget.augment import AugmentedGoalParams
 from reachbudget.envkit import ControlNoiseWrapper, NoiseWrapperConfig, grid_reachavoid_make
 
@@ -997,6 +998,58 @@ def test_regressor_refuses_fewer_than_two_feasible_states(monkeypatch, pendulum)
     monkeypatch.setattr(approx, "mlp_init", lambda *a, **k: pytest.fail("trained on one state"))
     with pytest.raises(ValueError, match="need at least 2 feasible states"):
         rcppo.fit_z_regressor(value, pendulum, _meta(z_max=100.0), n_samples=2, seed=3)
+
+
+def _reference_predict(reg, weights, biases, xs, y):
+    inp = np.concatenate([xs / reg.obs_scale, np.full((len(xs), 1), y)], axis=1)
+    out, _ = mlp_reference(weights, biases, inp, np.zeros((len(xs), 1)))
+    return np.clip(reg.z_min + out[:, 0] * (reg.z_max - reg.z_min), reg.z_min, reg.z_max)
+
+
+def test_regressor_comes_back_float64_in_the_float64_artifact_layout(pendulum, tmp_path):
+    reg = _zmap("pendulum")
+    assert reg.net.flat.dtype == np.float64
+    path = str(tmp_path / "zmap.ckpt")
+    cli.save_artifact(path, reg, {})
+    arrays, _ = approx.load_checkpoint(path)
+    assert {name: (a.dtype.str, a.shape) for name, a in arrays.items()} == {
+        "zmap_w0": ("<f8", (3, 16)), "zmap_b0": ("<f8", (16,)),
+        "zmap_w1": ("<f8", (16, 16)), "zmap_b1": ("<f8", (16,)),
+        "zmap_w2": ("<f8", (16, 1)), "zmap_b2": ("<f8", (1,)),
+        "zmap_obs_scale": ("<f8", (2,)),
+    }
+    xs = pendulum.sample_initial(_rng(8), 32)
+    want = _reference_predict(reg, reg.net.weights, reg.net.biases, xs, -1.0)
+    assert np.array_equal(rcppo.regressor_predict(reg, xs, -1.0), want)
+
+
+def test_float32_fit_predicts_like_a_float64_fit_from_the_same_init(monkeypatch, pendulum):
+    inits, losses = [], []
+    mlp_init, value_loss = approx.mlp_init, rcppo.value_loss
+
+    def init_spy(*args, **kwargs):
+        inits.append(mlp_init(*args, **kwargs))
+        return inits[-1]
+
+    def loss_spy(net, obs, targets, scale):
+        losses.append((net.flat.dtype, obs, targets))
+        return value_loss(net, obs, targets, scale)
+
+    monkeypatch.setattr(approx, "mlp_init", init_spy)
+    monkeypatch.setattr(rcppo, "value_loss", loss_spy)
+    reg = _zmap("pendulum")
+    assert [dtype for dtype, _, _ in losses] == [np.float32] * 40
+    _, obs, targets = losses[0]
+    assert obs.dtype == targets.dtype == np.float32
+    # the float64 reference trains on the fit rows as the epochs saw them
+    weights, biases = regression_fit_reference(
+        inits[0].weights, inits[0].biases, obs.astype(np.float64),
+        targets.astype(np.float64), epochs=40, lr=1e-3,
+    )
+    xs = pendulum.sample_initial(_rng(8), 64)
+    want = _reference_predict(reg, weights, biases, xs, -1.0)
+    got = rcppo.regressor_predict(reg, xs, -1.0)
+    assert np.max(np.abs(got - want)) <= 1e-4 * (reg.z_max - reg.z_min)
 
 
 # -- deployment ------------------------------------------------------------------------
