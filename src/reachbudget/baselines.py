@@ -167,7 +167,7 @@ def train_ppo_baseline(problem: ReachAvoidProblem, cfg: BaselineConfig) -> Train
         return lagrangian_reward(problem, x, x_next, run.costs, rcfg), np.zeros(cfg.n_envs)
 
     def collect():
-        x0 = np.atleast_2d(problem.sample_initial(rng, cfg.n_envs))
+        x0 = problem.sample_initial(rng, cfg.n_envs)
         return _collect(
             problem, policy, value_params, val_scale,
             (x0, start_flag(problem, x0), np.full(cfg.n_envs, np.inf)),
@@ -299,30 +299,15 @@ def write_grid_csv(path: str, rows: list[dict]) -> None:
 # -- two-state analytic testbed ---------------------------------------------------
 
 
-def _policy_stats(mdp: TabularMDP, probs: np.ndarray) -> tuple[float, float, float]:
-    """(reach_prob, expected_reward, expected_cost) for first-action
-    probabilities probs[i] of taking action 0 at initial state i."""
-    reach = reward = cost = 0.0
-    goal = mdp.goal_mask
-    for i, s in enumerate(mdp.initial_states):
-        w = mdp.initial_probs[i]
-        p = probs[i]
-        pi = np.array([p, 1.0 - p])
-        reach += w * float(pi @ goal[mdp.next_state[s]])
-        reward += w * float(pi @ mdp.reward[s])
-        cost += w * float(pi @ mdp.cost[s])
-    return reach, reward, cost
-
-
 _ENUM_ROWS = 64
 
 
-def _enumerate_best(mdp: TabularMDP, objective, step: float = 1e-3) -> tuple[np.ndarray, float]:
+def _enumerate_best(objective, step: float = 1e-3) -> tuple[np.ndarray, float]:
     """Exhaustive grid search over the two first-action probabilities.
 
-    Among grid points within 1e-9 of the best score, the largest
-    probabilities win, matching the analytic tie convention (ties
-    resolve toward probability one). The objective gets p_a as a column
+    The cross-check of the vertex search. Among grid points within 1e-9
+    of the best score, the lexicographically largest (p_a, p_b) wins,
+    the vertex search's tie rule. The objective gets p_a as a column
     and p_b as a row and broadcasts them; it fills the score grid
     _ENUM_ROWS rows at a time, so its temporaries stay a block in size.
     """
@@ -347,112 +332,81 @@ def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None
 
       - "reach_min_cost": minimize expected cost among policies that
         reach the goal with probability one.
-      - "scalarized": maximize reward - parameter * cost; ties between
-        the endpoints resolve toward probability one.
+      - "scalarized": maximize reward - parameter * cost.
       - "thresholded": maximize reward subject to cost <= parameter.
 
-    All three read their coefficients off the tables, solve the tiny
-    linear program analytically, and cross-check against a dense grid
-    enumeration included in the result.
+    Each mode is a linear gain over the unit box with at most one linear
+    constraint, so an optimum sits at a vertex: a box corner or a point
+    where the constraint's boundary crosses a box edge. The search keeps
+    the feasible candidates and takes the largest gain, compared
+    exactly; among equal gains the lexicographically largest (p_a, p_b)
+    wins. A dense grid enumeration of the same objective is included in
+    the result as a cross-check.
     """
     if len(mdp.initial_states) != 2 or mdp.n_actions != 2:
         raise ValueError("solver expects two initial states and two actions")
-    goal = mdp.goal_mask
+    if mode not in ("reach_min_cost", "scalarized", "thresholded"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "reach_min_cost" and (parameter is None or not math.isfinite(parameter)):
+        raise ValueError(f"{mode} mode needs a finite parameter, got {parameter!r}")
     w = mdp.initial_probs
-    # per-state linear pieces: f(p) = p * arm0 + (1 - p) * arm1
-    reach_arms = np.array([goal[mdp.next_state[s]] for s in mdp.initial_states], dtype=np.float64)
-    reward_arms = np.array([mdp.reward[s] for s in mdp.initial_states], dtype=np.float64)
-    cost_arms = np.array([mdp.cost[s] for s in mdp.initial_states], dtype=np.float64)
+    starts = mdp.initial_states
+    # per-start arm tables: f(p) = (p, 1 - p) @ (arm0, arm1)
+    reach = mdp.goal_mask[mdp.next_state[starts]].astype(np.float64)
+    reward = mdp.reward[starts].astype(np.float64)
+    cost = mdp.cost[starts].astype(np.float64)
 
-    def expected(arms, p_a, p_b):
+    def expected(table, p_a, p_b):
         out = 0.0
         for i, p in enumerate((p_a, p_b)):
-            out = out + w[i] * (p * arms[i, 0] + (1 - p) * arms[i, 1])
+            out = out + w[i] * (np.stack([p, 1 - p], axis=-1) @ table[i])
         return out
 
+    # the gain to maximize and at most one constraint, expected(table) <=
+    # cap + slack; reach >= 1 is written -reach <= -1
     if mode == "reach_min_cost":
-        # force every state onto reaching arms, then take the cheaper arm
-        probs = np.empty(2)
-        for i in range(2):
-            reaching = np.flatnonzero(reach_arms[i] > 0.5)
-            if len(reaching) == 0:
-                raise ValueError("a state cannot reach the goal at all")
-            if len(reaching) == 2:
-                probs[i] = 1.0 if cost_arms[i, 0] <= cost_arms[i, 1] else 0.0
-            else:
-                probs[i] = 1.0 if reaching[0] == 0 else 0.0
-
-        def objective(p_a, p_b):
-            reach = expected(reach_arms, p_a, p_b)
-            return -expected(cost_arms, p_a, p_b) - 1e6 * (reach < 1.0 - 1e-12)
-
+        gain, limit = -cost, (-reach, -1.0, 1e-12)
     elif mode == "scalarized":
-        if parameter is None:
-            raise ValueError("scalarized mode needs the weight parameter")
-        probs = np.empty(2)
-        for i in range(2):
-            score0 = reward_arms[i, 0] - parameter * cost_arms[i, 0]
-            score1 = reward_arms[i, 1] - parameter * cost_arms[i, 1]
-            probs[i] = 1.0 if score0 >= score1 else 0.0
-
-        def objective(p_a, p_b):
-            return expected(reward_arms, p_a, p_b) - parameter * expected(cost_arms, p_a, p_b)
-
-    elif mode == "thresholded":
-        if parameter is None:
-            raise ValueError("thresholded mode needs the cost bound parameter")
-        # objective and constraint are linear, so optimum sits at a box
-        # corner or on the constraint boundary along one edge
-        candidates = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
-        for i in range(2):
-            for fixed in (0.0, 1.0):
-                # solve cost(p) == parameter for the free coordinate
-                other = 1 - i
-                c_fixed = w[other] * (
-                    fixed * cost_arms[other, 0] + (1 - fixed) * cost_arms[other, 1]
-                )
-                slope = w[i] * (cost_arms[i, 0] - cost_arms[i, 1])
-                base = w[i] * cost_arms[i, 1] + c_fixed
-                if abs(slope) > 1e-12:
-                    p = (parameter - base) / slope
-                    if 0.0 <= p <= 1.0:
-                        pair = [0.0, 0.0]
-                        pair[i] = p
-                        pair[other] = fixed
-                        candidates.append(tuple(pair))
-        best, best_reward = None, -math.inf
-        for a, b in candidates:
-            reward, cost = expected(reward_arms, a, b), expected(cost_arms, a, b)
-            if cost <= parameter + 1e-9 and reward > best_reward + 1e-12:
-                best, best_reward = (a, b), reward
-        if best is None:
-            raise ValueError(f"no policy satisfies cost <= {parameter}")
-        probs = np.array(best)
-
-        def objective(p_a, p_b):
-            cost = expected(cost_arms, p_a, p_b)
-            return expected(reward_arms, p_a, p_b) - 1e6 * (cost > parameter + 1e-9)
-
+        gain, limit = reward - parameter * cost, None
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        gain, limit = reward, (cost, parameter, 1e-9)
 
-    reach, reward, cost = _policy_stats(mdp, probs)
-    enum_probs, _ = _enumerate_best(mdp, objective)
-    e_reach, e_reward, e_cost = _policy_stats(mdp, enum_probs)
-    return {
-        "mode": mode,
-        "parameter": parameter,
-        "p_a": float(probs[0]),
-        "p_b": float(probs[1]),
-        "reach_prob": reach,
-        "expected_reward": reward,
-        "expected_cost": cost,
-        "enumerated": {
-            "p_a": float(enum_probs[0]),
-            "p_b": float(enum_probs[1]),
-            "reach_prob": e_reach,
-            "expected_reward": e_reward,
-            "expected_cost": e_cost,
-        },
-    }
+    def infeasible(p_a, p_b):
+        if limit is None:
+            return False
+        table, cap, slack = limit
+        return expected(table, p_a, p_b) > cap + slack
 
+    def objective(p_a, p_b):
+        return expected(gain, p_a, p_b) - 1e6 * infeasible(p_a, p_b)
+
+    candidates = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+    if limit is not None:
+        table, cap, _ = limit
+        for i in range(2):
+            other = 1 - i
+            for fixed in (0.0, 1.0):
+                # solve expected(table) == cap for the free coordinate
+                c_fixed = w[other] * (fixed * table[other, 0] + (1 - fixed) * table[other, 1])
+                slope = w[i] * (table[i, 0] - table[i, 1])
+                base = w[i] * table[i, 1] + c_fixed
+                if abs(slope) > 1e-12:
+                    p = (cap - base) / slope
+                    if 0.0 <= p <= 1.0:
+                        candidates.append((p, fixed) if i == 0 else (fixed, p))
+    feasible = [c for c in candidates if not infeasible(*c)]
+    if not feasible:
+        raise ValueError(f"no policy meets the {mode} constraint at parameter {parameter!r}")
+    best = max(feasible, key=lambda c: (expected(gain, *c), c))
+    enum_best, _ = _enumerate_best(objective)
+
+    def stats(p_a, p_b):
+        return {
+            "p_a": float(p_a),
+            "p_b": float(p_b),
+            "reach_prob": expected(reach, p_a, p_b),
+            "expected_reward": expected(reward, p_a, p_b),
+            "expected_cost": expected(cost, p_a, p_b),
+        }
+
+    return {"mode": mode, "parameter": parameter, **stats(*best), "enumerated": stats(*enum_best)}

@@ -368,7 +368,7 @@ def collect_rollouts(
     that margin at the visited states. Only cfg.n_envs and cfg.z_min
     are read.
     """
-    x0 = np.atleast_2d(problem.sample_initial(rng, cfg.n_envs))
+    x0 = problem.sample_initial(rng, cfg.n_envs)
     y0 = start_flag(problem, x0)
     z0 = rng.uniform(cfg.z_min, z_max, cfg.n_envs)
 
@@ -959,7 +959,7 @@ def fit_z_regressor(
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples to fit and hold out, got {n_samples}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    xs = np.atleast_2d(problem.sample_initial(rng, n_samples))
+    xs = problem.sample_initial(rng, n_samples)
     ys = start_flag(problem, xs)
     sols = _bisect(value_fn, xs, ys, True, meta["z_min"], meta["z_max"], tol, 0)
     keep = [i for i, sol in enumerate(sols) if isinstance(sol, ZStarSolution)]

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -376,8 +378,8 @@ def test_row_blocked_enumeration_matches_the_whole_grid(monkeypatch, testbed):
     real = baselines._enumerate_best
     pairs = []
 
-    def both(mdp, objective, step=1e-3):
-        got = real(mdp, objective, step)
+    def both(objective, step=1e-3):
+        got = real(objective, step)
         pairs.append((got, enumerate_best_whole_grid(objective, step)))
         return got
 
@@ -397,6 +399,28 @@ def test_solver_validates_modes_and_parameters(testbed):
         baselines.two_start_bandit_solvers(testbed, "thresholded")
     with pytest.raises(ValueError):
         baselines.two_start_bandit_solvers(testbed, "simplex")
+
+
+@pytest.mark.parametrize("mode", ["scalarized", "thresholded"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_solver_refuses_a_parameter_that_is_not_finite(testbed, mode, value):
+    with pytest.raises(ValueError, match=f"{mode} mode needs a finite parameter, got {value}"):
+        baselines.two_start_bandit_solvers(testbed, mode, value)
+
+
+@pytest.mark.parametrize(
+    "mode, parameter", [("thresholded", 25.0), ("scalarized", 0.5), ("reach_min_cost", None)]
+)
+def test_exact_ties_go_to_the_largest_pair_in_both_searches(testbed, mode, parameter):
+    # start A's two arms are identical (cost 10, reward 10), so every p_a
+    # ties; start B keeps its reaching arm (cost 30, reward 20) and its
+    # free arm into the absorbing non-goal state
+    cost, reward = testbed.cost.copy(), testbed.reward.copy()
+    cost[0], reward[0] = [10.0, 10.0], [10.0, 10.0]
+    tied = dataclasses.replace(testbed, cost=cost, reward=reward)
+    out = baselines.two_start_bandit_solvers(tied, mode, parameter)
+    assert (out["p_a"], out["p_b"]) == (1.0, 1.0)
+    assert (out["enumerated"]["p_a"], out["enumerated"]["p_b"]) == (1.0, 1.0)
 
 
 def test_monte_carlo_estimates_match_the_closed_forms(testbed):

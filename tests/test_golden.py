@@ -14,7 +14,9 @@ transition and the reach backup each got a single definition; the
 took the minimum successor value ahead of its one backup. The two
 regressor pins and the regressor checkpoint pin were captured again
 when the regressor's Adam epochs moved to float32; the labels and the
-float64 artifact layout did not change.
+float64 artifact layout did not change. The bandit-solver pin was
+captured while each of the testbed's three modes still had its own
+solve and tie rule, before they shared one vertex search.
 
 The digests hold for a given numpy and BLAS build; a different build
 may round a matmul differently and needs the pins captured again.
@@ -37,8 +39,11 @@ from reachbudget.envkit import (
     NoiseWrapperConfig,
     grid_reachavoid_make,
     pendulum_make,
+    two_start_bandit_make,
     windfield_make,
 )
+
+from test_baselines import SOLVER_CASES
 
 ENVS = {
     "pendulum": pendulum_make,
@@ -244,7 +249,29 @@ def _run_gae(mode):
     return (out,)
 
 
-CASES = {}
+def _ulps(x, k):
+    """x and the k nearest floats on each side of it."""
+    lo = hi = x
+    out = [x]
+    for _ in range(k):
+        lo, hi = float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf))
+        out += [lo, hi]
+    return sorted(out)
+
+
+def _run_bandit_solvers():
+    # the test cases plus weights at the two scalarized ties and caps at
+    # the published bound and at the cost of the unconstrained optimum
+    mdp = two_start_bandit_make()
+    cases = (
+        SOLVER_CASES
+        + [("scalarized", w) for tie in (2 / 3, 1.0) for w in _ulps(tie, 3)]
+        + [("thresholded", c) for cap in (20.0, 25.0) for c in _ulps(cap, 1)]
+    )
+    return ([baselines.two_start_bandit_solvers(mdp, mode, p) for mode, p in cases],)
+
+
+CASES = {"bandit-solvers": (_run_bandit_solvers,)}
 for _env in ("pendulum", "windfield"):
     CASES[f"zmap-{_env}"] = (_run_zmap, _env)
 for _operator in ("greedy", "greedy-undiscounted", "policy", "q"):
@@ -271,6 +298,7 @@ PINS = {
     "augment-grid-1": "b8a4e673ff7bb0a73f03e40497b4d332d94a760421fc342d31de2f5a996470c9",
     "backup-sweep-chain": "593ffc785bec653ba1ad8c996bb3e9f2864c93e7c1fbc04f28e41eeb098b58d4",
     "backup-sweep-greedy": "3d991f1dee21e66adc6f1ed7b24ad483d5dc8e3af564ecf39860199f5d9bbf9f",
+    "bandit-solvers": "6b5929f509744e8075390d7294e1711cea867bff6ce546e41966138a997164f4",
     "baseline-noisy": "d4defcb223473c53c5d76d52a0e899fa7ccfe02168b5a2a2c31d72647580228f",
     "baseline-pendulum": "5ae4f796c8a0da0c25ffb696396502871ac553d3c0cafe54251ca5acd65aff59",
     "baseline-shaped-noisy": "f4d79acefb5088b11f47bc65a507ef0091f2ad972efed5ba184ffeb6c95c5eea",
