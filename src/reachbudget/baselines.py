@@ -307,20 +307,26 @@ def _enumerate_best(objective, step: float = 1e-3) -> tuple[np.ndarray, float]:
 
     The cross-check of the vertex search. Among grid points within 1e-9
     of the best score, the lexicographically largest (p_a, p_b) wins,
-    the vertex search's tie rule. The objective gets p_a as a column
-    and p_b as a row and broadcasts them; it fills the score grid
-    _ENUM_ROWS rows at a time, so its temporaries stay a block in size.
+    the vertex search's tie rule. objective(p_a, p_b) gets p_a as a
+    column and p_b as a row and scores the whole grid they broadcast to;
+    objective(p_a, p_b, out) instead returns score(rows), which scores
+    those rows of that grid into the head of out and returns them. The
+    search scores _ENUM_ROWS rows at a time into one buffer and keeps
+    only each row's maximum, then scores again the one block that holds
+    the last row within 1e-9 of the best to find the tie in that row.
     """
     grid = np.arange(0.0, 1.0 + step / 2, step)
-    scores = np.empty((grid.size, grid.size))
-    for lo in range(0, grid.size, _ENUM_ROWS):
-        scores[lo : lo + _ENUM_ROWS] = objective(grid[lo : lo + _ENUM_ROWS, None], grid[None, :])
-    best = float(np.max(scores))
-    tied = scores >= best - 1e-9
+    score = objective(grid[:, None], grid[None, :], np.empty((min(_ENUM_ROWS, grid.size), grid.size)))
+    blocks = [slice(lo, lo + _ENUM_ROWS) for lo in range(0, grid.size, _ENUM_ROWS)]
+    row_max = np.empty(grid.size)
+    for rows in blocks:
+        np.max(score(rows), axis=1, out=row_max[rows])
+    best = float(np.max(row_max))
     # lexicographically largest tied (i, j): last tied row, last tie in it
-    i = np.flatnonzero(tied.any(axis=1))[-1]
-    j = np.flatnonzero(tied[i])[-1]
-    return np.array([grid[i], grid[j]]), float(scores[i, j])
+    i = np.flatnonzero(row_max >= best - 1e-9)[-1]
+    row = score(blocks[i // _ENUM_ROWS])[i % _ENUM_ROWS]
+    j = np.flatnonzero(row >= best - 1e-9)[-1]
+    return np.array([grid[i], grid[j]]), float(row[j])
 
 
 def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None = None) -> dict:
@@ -356,11 +362,15 @@ def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None
     reward = mdp.reward[starts].astype(np.float64)
     cost = mdp.cost[starts].astype(np.float64)
 
+    def terms(table, p_a, p_b):
+        # each start's share of the expectation, start A's at p_a and
+        # start B's at p_b; A's leads with 0.0 + as the sum always has
+        share = [w[i] * (np.stack([p, 1 - p], axis=-1) @ table[i]) for i, p in enumerate((p_a, p_b))]
+        return 0.0 + share[0], share[1]
+
     def expected(table, p_a, p_b):
-        out = 0.0
-        for i, p in enumerate((p_a, p_b)):
-            out = out + w[i] * (np.stack([p, 1 - p], axis=-1) @ table[i])
-        return out
+        a, b = terms(table, p_a, p_b)
+        return a + b
 
     # the gain to maximize and at most one constraint, expected(table) <=
     # cap + slack; reach >= 1 is written -reach <= -1
@@ -377,8 +387,37 @@ def two_start_bandit_solvers(mdp: TabularMDP, mode: str, parameter: float | None
         table, cap, slack = limit
         return expected(table, p_a, p_b) > cap + slack
 
-    def objective(p_a, p_b):
-        return expected(gain, p_a, p_b) - 1e6 * infeasible(p_a, p_b)
+    def objective(p_a, p_b, out=None):
+        # the gain, less 1e6 where the constraint fails, at p_a (a column)
+        # by p_b (a row); each start's terms are formed once per call, and
+        # given out, rows of the grid are scored into it on demand
+        gain_a, gain_b = terms(gain, p_a, p_b)
+        whole = out is None
+        if whole:
+            out = np.empty((len(gain_a), gain_b.shape[-1]))
+        if limit is not None:
+            table, cap, slack = limit
+            limit_a, limit_b = terms(table, p_a, p_b)
+            spare, failed = np.empty_like(out), np.empty(out.shape, dtype=bool)
+
+        def outer_sum(into, a, b, rows):
+            # B's term broadcast down the rows, then A's added in place:
+            # the same sum, as addition commutes
+            block = into[: len(a[rows])]
+            np.copyto(block, b)
+            block += a[rows]
+            return block
+
+        def score(rows):
+            block = outer_sum(out, gain_a, gain_b, rows)
+            if limit is not None:
+                over = np.greater(outer_sum(spare, limit_a, limit_b, rows), cap + slack,
+                                  out=failed[: len(block)])
+                # bitwise block - 1e6 * over, as the zeros subtract exactly
+                np.subtract(block, 1e6, out=block, where=over)
+            return block
+
+        return score(slice(None)) if whole else score
 
     candidates = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
     if limit is not None:

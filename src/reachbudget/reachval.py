@@ -30,12 +30,20 @@ from .envkit.tabular import TabularMDP
 # -- the backup ---------------------------------------------------------------
 
 
-def discounted_backup(ghat_t, v_next, gamma: float):
+def discounted_backup(ghat_t, v_next, gamma: float, out=None):
     """(1 - gamma) * ghat + gamma * min(ghat, V'), elementwise; gamma = 1
-    gives the undiscounted reach backup min(ghat, V')."""
+    gives the undiscounted reach backup min(ghat, V').
+
+    Formed in out when given (which may be v_next): the minimum, then the
+    product by gamma, then the sum, each rounded as in the formula, whose
+    two terms' sum commutes.
+    """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
-    return (1.0 - gamma) * np.asarray(ghat_t) + gamma * np.minimum(ghat_t, v_next)
+    new = np.minimum(ghat_t, v_next, out=out)
+    new *= gamma
+    new += (1.0 - gamma) * np.asarray(ghat_t)
+    return new
 
 
 # -- advantage estimation ----------------------------------------------------
@@ -115,9 +123,12 @@ def make_z_grid(delta: float, z_max: float, z_bottom: float = -1.0) -> np.ndarra
 
 
 def snap_z_index(z_grid: np.ndarray, z) -> np.ndarray:
-    """Index of the largest grid node <= z, clamped to the bottom node."""
-    idx = np.searchsorted(z_grid, np.asarray(z), side="right") - 1
-    return np.minimum(np.maximum(idx, 0), len(z_grid) - 1)
+    """Index of the largest grid node <= z, clamped to the bottom node.
+
+    No clamp is needed at the top: searchsorted's right side is at most
+    len(z_grid), one past the top node.
+    """
+    return np.maximum(z_grid.searchsorted(z, side="right") - 1, 0)
 
 
 @dataclass
@@ -184,7 +195,13 @@ class TabularValueTable:
 
         One lookup for the whole vector; this is the one-state case of
         rcppo.bisect_z_star's value-function contract.
+
+        Raises:
+            ValueError: y_flag is NaN; it has no sign, so neither half
+                of the table can answer for it.
         """
+        if y_flag != y_flag:
+            raise ValueError("y_flag is NaN")
         yi = 0 if y_flag < 0 else 1
         return self.values[state, yi, snap_z_index(self.z_grid, z)]
 
@@ -218,10 +235,11 @@ def apply_backup_sweep(
     best = flat[succ[..., 0]]
     for a in range(1, succ.shape[-1]):
         np.minimum(best, flat[succ[..., a]], out=best)
-    new = discounted_backup(ghat, best, gamma)
+    # the backup and the freeze overwrite the minimum, a fresh array
+    discounted_backup(ghat, best, gamma, out=best)
     if frozen is not None:
-        new = np.where(frozen, ghat, new)
-    return new
+        np.copyto(best, ghat, where=frozen)
+    return best
 
 
 def tabular_value_iteration(
@@ -267,10 +285,12 @@ def tabular_value_iteration(
         max_sweeps = 2 * aug.ghat.size + 200
 
     values = aug.ghat.copy()
+    gap = np.empty_like(values)
     residuals = []
     for sweep in range(1, max_sweeps + 1):
         new = apply_backup_sweep(aug.ghat, succ, values, gamma, frozen=aug.absorbing)
-        residual = float(np.max(np.abs(new - values)))
+        np.subtract(new, values, out=gap)
+        residual = float(np.max(np.abs(gap, out=gap)))
         residuals.append(residual)
         values = new
         if residual == 0.0 or residual < tol:

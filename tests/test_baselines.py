@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,74 @@ def test_row_blocked_enumeration_matches_the_whole_grid(monkeypatch, testbed):
     for (probs, score), (want_probs, want_score) in pairs:
         assert probs.tolist() == want_probs.tolist()
         assert score == want_score
+
+
+def _streamed(f):
+    """_enumerate_best's objective for a broadcasting f(p_a, p_b): the whole
+    grid from two arguments, score(rows) into out from three."""
+
+    def objective(p_a, p_b, out=None):
+        if out is None:
+            return np.broadcast_to(f(p_a, p_b), (len(p_a), p_b.shape[-1])).copy()
+
+        def score(rows):
+            block = out[: len(p_a[rows])]
+            block[...] = f(p_a[rows], p_b)
+            return block
+
+        return score
+
+    return objective
+
+
+def _spikes(*cells, step=1e-3):
+    """Zero on the grid but for the given (row, column, score) cells."""
+
+    def f(p_a, p_b):
+        i, j = np.rint(p_a / step), np.rint(p_b / step)
+        out = 0.0 * i + 0.0 * j
+        for row, col, value in cells:
+            out = np.where((i == row) & (j == col), value, out)
+        return out
+
+    return f
+
+
+ENUMERATION_CASES = {
+    "constant": (lambda p_a, p_b: 3.0, 1e-3, (1000, 1000)),
+    # the tie's last row opens the second block
+    "tie-across-rows-63-and-64": (_spikes((63, 900, 1.0), (64, 10, 1.0 - 5e-10)), 1e-3, (64, 10)),
+    "best-in-the-last-partial-block": (
+        lambda p_a, p_b: -((p_a - 0.98) ** 2) - (p_b - 0.005) ** 2, 1e-3, (980, 5),
+    ),
+    "5e-10-apart-ties": (_spikes((100, 700, 1.0), (200, 300, 1.0 - 5e-10)), 1e-3, (200, 300)),
+    "2e-9-apart-does-not": (_spikes((100, 700, 1.0), (200, 300, 1.0 - 2e-9)), 1e-3, (100, 700)),
+    "step-0.01": (lambda p_a, p_b: -((p_a - 0.73) ** 2) - 2.0 * (p_b - 0.21) ** 2, 0.01, (73, 21)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
+def test_streamed_enumeration_matches_the_whole_grid_at_blocks_and_ties(case):
+    f, step, (i, j) = ENUMERATION_CASES[case]
+    objective = _streamed(f)
+    probs, score = baselines._enumerate_best(objective, step)
+    want_probs, want_score = enumerate_best_whole_grid(objective, step)
+    assert probs.tolist() == want_probs.tolist()
+    assert score == want_score
+    grid = np.arange(0.0, 1.0 + step / 2, step)
+    assert probs.tolist() == [grid[i], grid[j]]
+
+
+@pytest.mark.parametrize("mode, parameter", [("reach_min_cost", None), ("thresholded", 20.0)])
+def test_one_solve_allocates_a_block_not_the_grid(testbed, mode, parameter):
+    # the 1001x1001 float64 grid alone would be 8 MB
+    tracemalloc.start()
+    try:
+        baselines.two_start_bandit_solvers(testbed, mode, parameter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_solver_validates_modes_and_parameters(testbed):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachbudget import rcppo
 from reachbudget.envkit import grid_reachavoid_make
 from reachbudget.reachval import (
     AugmentedTabular,
@@ -134,6 +135,19 @@ def test_budget_snaps_downward():
     assert grid[snap_z_index(grid, 99.0)] == 5.0
 
 
+def test_snapping_needs_no_clamp_at_the_top_node():
+    grid = make_z_grid(1.0, 5.0)
+    zs = np.concatenate([
+        [-np.inf, -4.0, np.nextafter(-1.0, -np.inf)],  # below the bottom node
+        grid,  # on every node
+        (grid[:-1] + grid[1:]) / 2,  # between nodes
+        [np.nextafter(5.0, np.inf), 99.0, np.inf],  # above the top node
+    ])
+    two_sided = np.minimum(np.maximum(np.searchsorted(grid, zs, side="right") - 1, 0), len(grid) - 1)
+    assert np.array_equal(snap_z_index(grid, zs), two_sided)
+    assert [snap_z_index(grid, z) for z in zs] == two_sided.tolist()
+
+
 # -- value iteration against shortest safe paths ----------------------------------
 
 
@@ -204,6 +218,17 @@ def test_value_at_answers_a_budget_vector_like_per_budget_calls(grid5):
             got = table.value_at(s, y, zs)
             assert got.shape == zs.shape
             assert np.array_equal(got, [table.value_at(s, y, z) for z in zs])
+
+
+def test_a_nan_flag_is_refused_not_read_as_latched(grid5):
+    # NaN < 0 is False, so an unchecked lookup answers from the y=+1
+    # half, and the bisection would call every start Infeasible
+    grid = make_z_grid(1.0, 40.0)
+    table = tabular_value_iteration(augment_tabular(grid5, grid, big_c=350.0), gamma=1.0)
+    with pytest.raises(ValueError, match="y_flag is NaN"):
+        table.value_at(4 * 5 + 4, np.nan, 9.0)
+    with pytest.raises(ValueError, match="y_flag is NaN"):
+        rcppo.bisect_z_star(table.value_at, 4 * 5 + 4, float("nan"), -1.0, grid[-1], tol=1e-6)
 
 
 def test_more_budget_never_hurts(grid5):
