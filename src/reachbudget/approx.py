@@ -3,10 +3,9 @@
 Everything is plain numpy. A net's dtype is the dtype of its one
 parameter vector: every constructor and checkpoint load gives float64,
 and only MlpParams.astype makes a net of another dtype. The forward and
-backward passes and Adam run in the net's dtype. Networks are two tanh
-hidden layers by default. Gradients come from hand-written reverse
-mode; the finite_difference_check helper, float64 only, is the tool the
-test suite points at them.
+backward passes and Adam run in the net's dtype. Networks are tanh nets
+with two hidden layers by default, and the forward and backward passes
+take rows (n, d) only. Gradients come from hand-written reverse mode.
 
 Each net keeps its parameters in one contiguous vector, `flat`: the
 weights and biases, in trainable() order, and for a policy then its
@@ -71,17 +70,15 @@ def _vector_of(arrays: list[np.ndarray]) -> np.ndarray:
 class MlpParams:
     """Weights and biases of a fully connected net.
 
-    weights[i] has shape (fan_in, fan_out); activation applies after
-    every layer except the last. Supported activations: "tanh" and
-    "identity". Construction copies the given arrays into one new
-    float64 vector, the attribute flat, and makes weights and biases
-    views into it, so writing them in place writes the vector. The
-    net's dtype is that of flat; astype gives a copy in another one.
+    weights[i] has shape (fan_in, fan_out); tanh applies after every
+    layer except the last. Construction copies the given arrays into
+    one new float64 vector, the attribute flat, and makes weights and
+    biases views into it, so writing them in place writes the vector.
+    The net's dtype is that of flat; astype gives a copy in another one.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         self._adopt(np.concatenate([np.ravel(a) for a in self.trainable()], dtype=np.float64))
@@ -120,40 +117,37 @@ def _orthogonal(rng: np.random.Generator, fan_in: int, fan_out: int, gain: float
 def mlp_init(
     sizes: tuple[int, ...],
     rng: np.random.Generator,
-    activation: str = "tanh",
     final_scale: float = 1.0,
 ) -> MlpParams:
     """Orthogonally initialized net; final_scale shrinks the last layer
     (0.01 for policy heads keeps the initial actions near zero)."""
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    if activation not in ("tanh", "identity"):
-        raise ValueError(f"unsupported activation {activation!r}")
     weights, biases = [], []
     for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         last = i == len(sizes) - 2
         gain = final_scale if last else np.sqrt(2.0)
         weights.append(_orthogonal(rng, n_in, n_out, gain))
         biases.append(np.zeros(n_out))
-    return MlpParams(weights=weights, biases=biases, activation=activation)
+    return MlpParams(weights=weights, biases=biases)
 
 
 def mlp_forward(
     params: MlpParams, x: np.ndarray, return_cache: bool = False
 ):
-    """Forward pass; x is (n, d_in) or (d_in,).
+    """Forward pass on rows x, (n, d_in); another rank raises ValueError.
 
     x is cast to the net's dtype, which the output and cache share.
     With return_cache the post-activation of every layer comes back for
     reuse by mlp_backward.
     """
-    arr = np.asarray(x, dtype=params.flat.dtype)
-    if not np.all(np.isfinite(arr)):
+    h = np.asarray(x, dtype=params.flat.dtype)
+    if h.ndim != 2:
+        raise ValueError(f"network input must be rows (n, d), got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
         raise ValueError("non-finite network input")
-    single = arr.ndim == 1
-    h = arr[None, :] if single else arr
     cache = [h] if return_cache else None
-    n_hidden = len(params.weights) - 1 if params.activation == "tanh" else 0
+    n_hidden = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         # h @ w is a fresh array, so the bias and tanh go in place
         h = h @ w
@@ -162,35 +156,31 @@ def mlp_forward(
             np.tanh(h, out=h)
         if cache is not None:
             cache.append(h)
-    out = h[0] if single else h
     if return_cache:
-        return out, cache
-    return out
+        return h, cache
+    return h
 
 
 def mlp_backward(
     params: MlpParams,
-    x: np.ndarray,
     upstream_grad: np.ndarray,
-    cache: list[np.ndarray] | None = None,
+    cache: list[np.ndarray],
     out: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Reverse-mode parameter gradients of sum(upstream_grad * output).
 
-    The grads come interleaved as (dW0, db0, dW1, ...), matching
+    upstream_grad is (n, d_out) rows and cache the one mlp_forward
+    returned for the same rows; another rank raises ValueError. The
+    grads come interleaved as (dW0, db0, dW1, ...), matching
     MlpParams.trainable() order, as views into one vector laid out
     like params.flat: out if given, else a fresh one in the net's
-    dtype, to which x and upstream_grad are cast. The input gradient is
+    dtype, to which upstream_grad is cast. The input gradient is
     never formed: the loop stops at layer 0.
     """
     dtype = params.flat.dtype
-    arr = np.asarray(x, dtype=dtype)
-    single = arr.ndim == 1
-    if cache is None:
-        _, cache = mlp_forward(params, arr, return_cache=True)
     up = np.asarray(upstream_grad, dtype=dtype)
-    if single:
-        up = up[None, :]
+    if up.ndim != 2:
+        raise ValueError(f"upstream gradient must be rows (n, d), got shape {up.shape}")
     n_layers = len(params.weights)
     grad = np.empty(params.flat.size, dtype) if out is None else out
     grads = _views(grad, [a.shape for a in params.trainable()])
@@ -204,11 +194,10 @@ def mlp_backward(
         # a one-column layer backpropagates by broadcasting, not an
         # outer-product matmul; either way delta is a fresh array
         delta = delta * w[:, 0] if w.shape[1] == 1 else delta @ w.T
-        if params.activation == "tanh":
-            # cache[i] is the tanh output feeding layer i
-            slope = np.square(cache[i])
-            np.subtract(1.0, slope, out=slope)
-            delta *= slope
+        # cache[i] is the tanh output feeding layer i
+        slope = np.square(cache[i])
+        np.subtract(1.0, slope, out=slope)
+        delta *= slope
     return grads
 
 
@@ -325,7 +314,7 @@ def policy_logp_backward(
     d_mean = up[:, None] * diff / std
     grad = np.empty(params.flat.size)
     n = params.trunk.flat.size
-    trunk_grads = mlp_backward(params.trunk, obs, d_mean, cache=cache, out=grad[:n])
+    trunk_grads = mlp_backward(params.trunk, d_mean, cache, out=grad[:n])
     d_log_std = grad[n:]
     np.sum(up[:, None] * (diff**2 - 1.0), axis=0, out=d_log_std)
     active = (params.log_std > LOG_STD_MIN) & (params.log_std < LOG_STD_MAX)
@@ -430,9 +419,7 @@ def mlp_to_arrays(prefix: str, params: MlpParams) -> dict[str, np.ndarray]:
     return out
 
 
-def mlp_from_arrays(
-    prefix: str, arrays: dict[str, np.ndarray], activation: str = "tanh"
-) -> MlpParams:
+def mlp_from_arrays(prefix: str, arrays: dict[str, np.ndarray]) -> MlpParams:
     weights, biases = [], []
     i = 0
     while f"{prefix}_w{i}" in arrays:
@@ -444,7 +431,7 @@ def mlp_from_arrays(
     for w, b in zip(weights, biases):
         if w.shape[1] != b.shape[0]:
             raise ValueError(f"{prefix}: weight/bias shape mismatch {w.shape} vs {b.shape}")
-    return MlpParams(weights=weights, biases=biases, activation=activation)
+    return MlpParams(weights=weights, biases=biases)
 
 
 def policy_to_arrays(params: GaussianPolicyParams) -> dict[str, np.ndarray]:
@@ -462,47 +449,3 @@ def policy_from_arrays(arrays: dict[str, np.ndarray]) -> GaussianPolicyParams:
         action_low=np.array(arrays["policy_action_low"], dtype=np.float64),
         action_high=np.array(arrays["policy_action_high"], dtype=np.float64),
     )
-
-
-# -- gradient checking ---------------------------------------------------------
-
-
-def finite_difference_check(
-    loss_and_grad,
-    params: list[np.ndarray],
-    rng: np.random.Generator,
-    eps: float = 1e-5,
-    coords_per_array: int = 25,
-) -> float:
-    """Largest relative error between analytic and central differences.
-
-    loss_and_grad(params) must return (scalar loss, grads aligned with
-    params). Checks a random subset of coordinates per array; exact
-    zeros on both sides count as agreement. Near-kink coordinates are
-    the caller's responsibility (jitter parameters first). The params
-    must be float64, since float32 rounding is not small against these
-    steps; another dtype raises ValueError.
-    """
-    if any(arr.dtype != np.float64 for arr in params):
-        raise ValueError("finite_difference_check needs float64 parameters")
-    _, grads = loss_and_grad(params)
-    worst = 0.0
-    for arr, g in zip(params, grads):
-        g_flat = np.asarray(g).reshape(-1)
-        n = arr.size
-        idx = np.arange(n) if n <= coords_per_array else rng.choice(n, coords_per_array, False)
-        for i in idx:
-            # arr.flat writes through regardless of memory layout
-            orig = arr.flat[i]
-            arr.flat[i] = orig + eps
-            hi, _ = loss_and_grad(params)
-            arr.flat[i] = orig - eps
-            lo, _ = loss_and_grad(params)
-            arr.flat[i] = orig
-            fd = (hi - lo) / (2.0 * eps)
-            an = g_flat[i]
-            scale = max(abs(fd), abs(an))
-            if scale < 1e-6:
-                continue
-            worst = max(worst, abs(fd - an) / scale)
-    return worst

@@ -96,42 +96,3 @@ def augmented_goal(problem: ReachAvoidProblem, x, y, z, params: AugmentedGoalPar
     """ghat(x, y, z); nonpositive exactly inside the augmented goal."""
     return augmented_margin(problem.goal_margin(x), y, z, params.big_c)
 
-
-def budget_equivalence_sides(
-    problem: ReachAvoidProblem,
-    params: AugmentedGoalParams,
-    states: np.ndarray,
-    costs: np.ndarray,
-    z0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate both sides of the reach-within-budget equivalence.
-
-    For every prefix length T of a rollout (states has T_total + 1 rows,
-    costs has T_total entries), the left side is the raw predicate
-
-        x_T in G  and  x_t not in F for all t <= T  and  z0 >= sum_{k<T} c_k
-
-    and the right side tests the augmented goal margin of the replayed
-    augmented state (x_T, y_T, z_T), with y and z reconstructed from
-    the trajectory and z0. Returns (lhs, rhs) boolean arrays of length
-    T_total + 1; equivalence should hold at every index.
-
-    Args:
-        states: (T+1, d) visited raw states.
-        costs: (T,) per-step costs actually charged.
-        z0: initial budget.
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    costs = np.asarray(costs, dtype=np.float64)
-    if states.shape[0] != costs.shape[0] + 1:
-        raise ValueError("need one more state than costs")
-
-    in_g = np.asarray(problem.in_goal(states), dtype=bool)
-    in_f = np.asarray(problem.in_avoid(states), dtype=bool)
-    cum = np.concatenate([[0.0], np.cumsum(costs)])
-    z = z0 - cum
-    y = shifted_indicator(np.maximum.accumulate(in_f))
-
-    lhs = in_g & ~np.maximum.accumulate(in_f) & (z0 >= cum)
-    rhs = augmented_goal(problem, states, y, z, params) <= 0.0
-    return lhs, rhs

@@ -48,12 +48,7 @@ class LagrangianRewardConfig:
 
 
 def potential_phi(problem: ReachAvoidProblem, x: np.ndarray, cfg: LagrangianRewardConfig) -> np.ndarray:
-    """Shaping potential, identically zero when shaping is off."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if not cfg.shaping_enabled:
-        out = np.zeros(1 if single else x.shape[0])
-        return float(out[0]) if single else out
+    """Shaping potential; lagrangian_reward uses it only with shaping on."""
     return -cfg.shaping_k * problem.goal_distance(x)
 
 
@@ -63,19 +58,16 @@ def lagrangian_reward(
     x_next: np.ndarray,
     cost: np.ndarray | float,
     cfg: LagrangianRewardConfig,
-) -> np.ndarray | float:
-    """Scalarized per-step reward for the given transition."""
-    in_g = np.asarray(problem.in_goal(x_next))
-    in_f = np.asarray(problem.in_avoid(x_next))
+) -> np.ndarray:
+    """Scalarized per-step reward for the given transitions."""
+    in_g, in_f = problem.in_goal(x_next), problem.in_avoid(x_next)
     r = (
         cfg.r_goal * in_g.astype(np.float64)
         - cfg.p_goal * (~in_g).astype(np.float64)
-        - cfg.beta * (cfg.c_fail * in_f.astype(np.float64) + np.asarray(cost, dtype=np.float64))
+        - cfg.beta * (cfg.c_fail * in_f.astype(np.float64) + cost)
     )
     if cfg.shaping_enabled:
         r = r + cfg.gamma * potential_phi(problem, x_next, cfg) - potential_phi(problem, x, cfg)
-    if np.ndim(r) == 0 or (hasattr(r, "shape") and r.shape == ()):
-        return float(r)
     return r
 
 

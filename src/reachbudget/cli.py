@@ -13,6 +13,7 @@ import numpy as np
 import yaml
 
 from . import approx, baselines, rcppo
+from .augment import augmented_margin
 from .config import (
     baseline_from,
     build_problem,
@@ -34,9 +35,13 @@ def write_log_csv(path: str, rows: list[dict]) -> None:
             ])
 
 
-def write_trajectory_csv(path: str, traj: rcppo.Trajectory, problem) -> None:
-    """One row per visited state; the final row has no action or cost."""
+def write_trajectory_csv(path: str, traj: rcppo.Trajectory, problem, big_c: float) -> None:
+    """One row per visited state; the final row has no action or cost.
+    ghat weighs the flag by big_c, which is 1.0 for a policy without one."""
     d, a = problem.state_dim, problem.action_dim
+    g = np.asarray(problem.goal_margin(traj.states), dtype=np.float64)
+    h = np.asarray(problem.avoid_margin(traj.states), dtype=np.float64)
+    ghat = augmented_margin(g, traj.y, traj.z, big_c)
     cols = (
         ["t"]
         + [f"x{i}" for i in range(d)]
@@ -55,8 +60,8 @@ def write_trajectory_csv(path: str, traj: rcppo.Trajectory, problem) -> None:
             else:
                 row += [""] * a
             row += [
-                repr(float(traj.g[t])), repr(float(traj.h[t])),
-                repr(float(traj.ghat[t])), repr(float(traj.y[t])),
+                repr(float(g[t])), repr(float(h[t])),
+                repr(float(ghat[t])), repr(float(traj.y[t])),
                 repr(float(traj.z[t])),
             ]
             row.append(repr(float(traj.costs[t])) if t < traj.length else "")
@@ -324,7 +329,7 @@ def deploy(config_path, policy_path, state, z, zmap, value, tol, out_path, force
     x0 = _parse_state(state, problem.state_dim)
     z_source = _z_source_from_options(cfg, meta, z, zmap, value, tol, force)
     traj = rcppo.deploy_policy(problem, policy, meta, z_source, x0)
-    write_trajectory_csv(out_path, traj, problem)
+    write_trajectory_csv(out_path, traj, problem, meta.get("big_c", 1.0))
     click.echo(json.dumps({
         "reached": traj.reached,
         "violated": traj.violated,

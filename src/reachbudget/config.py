@@ -200,13 +200,10 @@ def build_problem(cfg: dict):
         ).as_problem()
     else:
         raise ValueError(f"config field env.name: unknown environment {name!r}")
-    if env["noise_half_width"] > 0.0:
-        problem = ControlNoiseWrapper(
-            problem,
-            NoiseWrapperConfig(
-                noise_half_width=env["noise_half_width"], seed=env["noise_seed"]
-            ),
-        )
+    # built first so that its own check refuses a negative width
+    noise = NoiseWrapperConfig(noise_half_width=env["noise_half_width"], seed=env["noise_seed"])
+    if noise.noise_half_width > 0.0:
+        problem = ControlNoiseWrapper(problem, noise)
     return problem
 
 

@@ -9,6 +9,7 @@ in closed form.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +141,9 @@ def grid_reachavoid_make(
         width, height: grid dimensions, at most 12x12.
         hazards: hazard cells.
         goal_cell: the single goal cell, not a hazard.
-        step_cost_table: None for unit costs, a scalar, a full (S, A)
-            array, or a dict mapping (row, col) to the cost of every
-            action taken from that cell.
+        step_cost_table: None for unit costs, a number, or a dict
+            mapping (row, col) to the cost of every action taken from
+            that cell; anything else raises TypeError.
     """
     if width < 1 or height < 1 or width > 12 or height > 12:
         raise ValueError("grid dimensions must be within 1x1 .. 12x12")
@@ -175,12 +176,11 @@ def grid_reachavoid_make(
         cost = np.ones((n_states, n_actions))
         for (r, c), value in step_cost_table.items():
             cost[sid(r, c), :] = float(value)
-    elif np.isscalar(step_cost_table):
+    elif isinstance(step_cost_table, numbers.Real):
         cost = np.full((n_states, n_actions), float(step_cost_table))
     else:
-        cost = np.asarray(step_cost_table, dtype=np.float64)
-        if cost.shape != (n_states, n_actions):
-            raise ValueError("step_cost_table array must have shape (S, A)")
+        raise TypeError("step_cost_table must be None, a number or a (row, col) -> cost "
+                        f"dict, not {type(step_cost_table).__name__}")
     if np.any(cost < 0):
         raise ValueError("step costs must be nonnegative")
 

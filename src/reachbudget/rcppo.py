@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from . import BLAS_THREAD_VARS, approx
 from .augment import (
     AugmentedGoalParams,
     augmented_goal,
-    augmented_margin,
     augmented_step,
     estimate_big_c,
     start_flag,
@@ -470,7 +470,7 @@ def value_loss(
     diff = out[:, 0] - np.asarray(targets, dtype=value_params.flat.dtype) / target_scale
     loss = float(np.mean(diff**2))
     upstream = (2.0 * diff / diff.shape[0])[:, None]
-    grads = approx.mlp_backward(value_params, obs, upstream, cache=cache)
+    grads = approx.mlp_backward(value_params, upstream, cache)
     return loss, grads
 
 
@@ -577,8 +577,14 @@ def _train_loop(cfg, rng, collect, fold, value_params, val_adam, value_scale, po
     tail) -> (advantages, returns) (see RolloutBatch.fold), standardize
     the advantages and run _ppo_update. policy is (params, adam), or
     None for a value-only refit. A batch without a step would never end
-    the loop, so it is refused.
+    the loop, so it is refused, as is, before the first collect, an
+    n_envs, epochs or minibatch_size below 1 or an lr not in (0, inf).
     """
+    for name in ("n_envs", "epochs", "minibatch_size"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+    if not 0.0 < cfg.lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {cfg.lr}")
     log_rows: list[dict] = []
     env_steps = 0
     iteration = 0
@@ -696,9 +702,7 @@ def finetune_phase2(
     goal_params = AugmentedGoalParams(big_c=big_c)
 
     # construction copies the phase-1 parameters into a new vector
-    value_params = approx.MlpParams(
-        value_params.weights, value_params.biases, value_params.activation
-    )
+    value_params = approx.MlpParams(value_params.weights, value_params.biases)
     val_adam = approx.AdamState.for_params(value_params.trainable(), cfg.lr)
     roll_cfg = Phase1Config(n_envs=cfg.n_envs, z_min=meta["z_min"])
 
@@ -1010,9 +1014,6 @@ class Trajectory:
     costs: np.ndarray  # (T,)
     y: np.ndarray  # (T + 1,)
     z: np.ndarray  # (T + 1,)
-    g: np.ndarray  # (T + 1,)
-    h: np.ndarray  # (T + 1,)
-    ghat: np.ndarray  # (T + 1,)
     z0: float
     reached: bool
     violated: bool
@@ -1036,7 +1037,9 @@ def _start_budget(z_source, x: np.ndarray, y: float, meta: dict) -> tuple[float,
     """(z0, infeasible_start) for one start; see deploy_policy."""
     if z_source is None:
         return math.inf, False
-    if isinstance(z_source, (int, float)):
+    if isinstance(z_source, (bool, np.bool_)):
+        raise TypeError(f"a budget must be a number, not {z_source!r}")
+    if isinstance(z_source, numbers.Real):
         return float(z_source), False
     if isinstance(z_source, ZRegressor):
         return float(regressor_predict(z_source, x, y)[0]), False
@@ -1061,7 +1064,8 @@ def deploy_policy(
     one environment step over the rows of the unfinished lanes, so a
     single start is just a batch of one lane.
 
-    z_source is a number, a callable (x0, y0) -> z0 (typically wrapping
+    z_source is a real number (numpy scalars included; a bool raises
+    TypeError), a callable (x0, y0) -> z0 (typically wrapping
     bisect_z_star), a ZRegressor, or None (budget-free policies; the
     budget column stays infinite). It is resolved once per start, in
     start order. An Infeasible callable result is reported on that lane,
@@ -1089,9 +1093,6 @@ def deploy_policy(
 
     run = _run_lanes(problem, starts, y0, z0, act, lambda x, y, z: problem.in_goal(x))
     (actions,) = run.records or [np.empty((0, problem.action_dim))]
-    g = np.asarray(problem.goal_margin(run.x), dtype=np.float64)
-    h = np.asarray(problem.avoid_margin(run.x), dtype=np.float64)
-    ghat = augmented_margin(g, run.y, run.z, meta.get("big_c", 1.0))
     trajs = [
         Trajectory(
             states=run.x[states],
@@ -1099,9 +1100,6 @@ def deploy_policy(
             costs=run.costs[steps],
             y=run.y[states],
             z=run.z[states],
-            g=g[states],
-            h=h[states],
-            ghat=ghat[states],
             z0=float(z0[i]),
             reached=bool(run.reached[i]),
             violated=bool(np.any(run.y[states] > 0)),

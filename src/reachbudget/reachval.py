@@ -65,6 +65,7 @@ def _gae_arrays(
         tail_value: value closing every fold chain; the final margin
             itself when the episode ended inside the augmented goal,
             the learned value of the final state when truncated.
+        lam: trace weight in [0, 1); at 1 both weightings divide by 0.
         mode: "renormalized" weights lambda^(k-1) scaled to sum to 1
             over the k available at each step; "literal" reproduces
             the infinite-series weighting lambda^k / (1 - lambda),
@@ -82,6 +83,8 @@ def _gae_arrays(
         raise ValueError("ghat and values must have equal length")
     if mode not in ("renormalized", "literal"):
         raise ValueError(f"unknown gae mode {mode!r}")
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"lam must be in [0, 1), got {lam}")
 
     # fold[t] carries the k-step target phi^(k)(ghat_t, ..., V_{t+k});
     # it starts as the 0-step target V_t (with the tail closing t = T)
@@ -306,12 +309,6 @@ def tabular_value_iteration(
         f"value iteration missed tol={tol} after {max_sweeps} sweeps "
         f"(residual {residuals[-1]:.3e})"
     )
-
-
-def tabular_q_values(aug: AugmentedTabular, table: TabularValueTable) -> np.ndarray:
-    """Q(s_hat, a) induced by a solved value table, shape (S, 2, Z, A)."""
-    q = discounted_backup(aug.ghat[..., None], table.values.reshape(-1)[aug.succ], table.gamma)
-    return np.where(aug.absorbing[..., None], aug.ghat[..., None], q)
 
 
 # -- discount bound -----------------------------------------------------------

@@ -1,9 +1,14 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is written directly from first principles (shortest
-paths, series definitions, textbook densities) without importing the
-package internals it checks, so agreement is evidence rather than
-tautology.
+Everything up to the checkers is written directly from first principles
+(shortest paths, series definitions, textbook densities) without
+importing the package internals it checks, so agreement is evidence
+rather than tautology.
+
+The checkers at the end are the language the acceptance claims are
+written in: both sides of the budget equivalence, the Q table of a
+solved value table, and a central-difference gradient check. The first
+two compose the package's own margin and backup on purpose.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ import heapq
 import math
 
 import numpy as np
+
+from reachbudget.augment import AugmentedGoalParams, augmented_goal, shifted_indicator
+from reachbudget.envkit.base import ReachAvoidProblem
+from reachbudget.reachval import AugmentedTabular, TabularValueTable, discounted_backup
 
 GOAL_PLATEAU = -300.0
 
@@ -210,15 +219,15 @@ def simulate_two_start_bandit(
     }
 
 
-def mlp_reference(weights, biases, x, upstream, tanh=True):
+def mlp_reference(weights, biases, x, upstream):
     """Output and parameter gradients (dW0, db0, dW1, ...) of
-    sum(upstream * output) for a net given as weight and bias lists,
+    sum(upstream * output) for a tanh net given as weight and bias lists,
     by textbook reverse mode with a fresh array for every operation."""
     acts = [x]
     h = x
     for i, (w, b) in enumerate(zip(weights, biases)):
         h = h @ w + b
-        if tanh and i < len(weights) - 1:
+        if i < len(weights) - 1:
             h = np.tanh(h)
         acts.append(h)
     grads = [None] * (2 * len(weights))
@@ -227,7 +236,7 @@ def mlp_reference(weights, biases, x, upstream, tanh=True):
         grads[2 * i] = acts[i].T @ delta
         grads[2 * i + 1] = delta.sum(axis=0)
         delta = delta @ weights[i].T
-        if tanh and i > 0:
+        if i > 0:
             delta = delta * (1.0 - acts[i] ** 2)
     return h, grads
 
@@ -267,3 +276,93 @@ def enumerate_best_whole_grid(objective, step=1e-3):
     scores = objective(grid[:, None], grid[None, :])
     i, j = np.argwhere(scores >= scores.max() - 1e-9)[-1]
     return np.array([grid[i], grid[j]]), float(scores[i, j])
+
+
+# -- checkers ------------------------------------------------------------------
+
+
+def budget_equivalence_sides(
+    problem: ReachAvoidProblem,
+    params: AugmentedGoalParams,
+    states: np.ndarray,
+    costs: np.ndarray,
+    z0: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate both sides of the reach-within-budget equivalence.
+
+    For every prefix length T of a rollout (states has T_total + 1 rows,
+    costs has T_total entries), the left side is the raw predicate
+
+        x_T in G  and  x_t not in F for all t <= T  and  z0 >= sum_{k<T} c_k
+
+    and the right side tests the augmented goal margin of the replayed
+    augmented state (x_T, y_T, z_T), with y and z reconstructed from
+    the trajectory and z0. Returns (lhs, rhs) boolean arrays of length
+    T_total + 1; equivalence should hold at every index.
+
+    Args:
+        states: (T+1, d) visited raw states.
+        costs: (T,) per-step costs actually charged.
+        z0: initial budget.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    costs = np.asarray(costs, dtype=np.float64)
+    if states.shape[0] != costs.shape[0] + 1:
+        raise ValueError("need one more state than costs")
+
+    in_g = np.asarray(problem.in_goal(states), dtype=bool)
+    in_f = np.asarray(problem.in_avoid(states), dtype=bool)
+    cum = np.concatenate([[0.0], np.cumsum(costs)])
+    z = z0 - cum
+    y = shifted_indicator(np.maximum.accumulate(in_f))
+
+    lhs = in_g & ~np.maximum.accumulate(in_f) & (z0 >= cum)
+    rhs = augmented_goal(problem, states, y, z, params) <= 0.0
+    return lhs, rhs
+
+
+def tabular_q_values(aug: AugmentedTabular, table: TabularValueTable) -> np.ndarray:
+    """Q(s_hat, a) induced by a solved value table, shape (S, 2, Z, A)."""
+    q = discounted_backup(aug.ghat[..., None], table.values.reshape(-1)[aug.succ], table.gamma)
+    return np.where(aug.absorbing[..., None], aug.ghat[..., None], q)
+
+
+def finite_difference_check(
+    loss_and_grad,
+    params: list[np.ndarray],
+    rng: np.random.Generator,
+    eps: float = 1e-5,
+    coords_per_array: int = 25,
+) -> float:
+    """Largest relative error between analytic and central differences.
+
+    loss_and_grad(params) must return (scalar loss, grads aligned with
+    params). Checks a random subset of coordinates per array; exact
+    zeros on both sides count as agreement. Near-kink coordinates are
+    the caller's responsibility (jitter parameters first). The params
+    must be float64, since float32 rounding is not small against these
+    steps; another dtype raises ValueError.
+    """
+    if any(arr.dtype != np.float64 for arr in params):
+        raise ValueError("finite_difference_check needs float64 parameters")
+    _, grads = loss_and_grad(params)
+    worst = 0.0
+    for arr, g in zip(params, grads):
+        g_flat = np.asarray(g).reshape(-1)
+        n = arr.size
+        idx = np.arange(n) if n <= coords_per_array else rng.choice(n, coords_per_array, False)
+        for i in idx:
+            # arr.flat writes through regardless of memory layout
+            orig = arr.flat[i]
+            arr.flat[i] = orig + eps
+            hi, _ = loss_and_grad(params)
+            arr.flat[i] = orig - eps
+            lo, _ = loss_and_grad(params)
+            arr.flat[i] = orig
+            fd = (hi - lo) / (2.0 * eps)
+            an = g_flat[i]
+            scale = max(abs(fd), abs(an))
+            if scale < 1e-6:
+                continue
+            worst = max(worst, abs(fd - an) / scale)
+    return worst

@@ -31,9 +31,14 @@ from conftest import (
     RCPPO_PHASE2,
     record_acceptance,
 )
-from oracles import dijkstra_grid
+from oracles import (
+    budget_equivalence_sides,
+    dijkstra_grid,
+    finite_difference_check,
+    tabular_q_values,
+)
 from reachbudget import approx, baselines, rcppo
-from reachbudget.augment import AugmentedGoalParams, budget_equivalence_sides
+from reachbudget.augment import AugmentedGoalParams
 from reachbudget.envkit import (
     ControlNoiseWrapper,
     NoiseWrapperConfig,
@@ -44,7 +49,6 @@ from reachbudget.reachval import (
     augment_tabular,
     discount_sign_bound,
     make_z_grid,
-    tabular_q_values,
     tabular_value_iteration,
 )
 
@@ -386,7 +390,7 @@ def test_every_network_head_matches_central_differences():
 
         worst["policy surrogate"] = max(
             worst["policy surrogate"],
-            approx.finite_difference_check(surrogate, policy.trainable(), rng),
+            finite_difference_check(surrogate, policy.trainable(), rng),
         )
 
         weights = rng.normal(size=24)
@@ -399,7 +403,7 @@ def test_every_network_head_matches_central_differences():
 
         worst["log-prob"] = max(
             worst["log-prob"],
-            approx.finite_difference_check(weighted_logp, policy.trainable(), rng),
+            finite_difference_check(weighted_logp, policy.trainable(), rng),
         )
 
         net = approx.mlp_init((4, 16, 16, 1), rng)
@@ -411,7 +415,7 @@ def test_every_network_head_matches_central_differences():
 
         worst["value"] = max(
             worst["value"],
-            approx.finite_difference_check(value_head, net.trainable(), rng),
+            finite_difference_check(value_head, net.trainable(), rng),
         )
     elapsed = time.perf_counter() - t0
 

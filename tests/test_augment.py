@@ -11,9 +11,10 @@ from reachbudget.augment import (
     estimate_big_c,
     shifted_indicator,
     start_flag,
-    budget_equivalence_sides,
 )
 from reachbudget.envkit import pendulum_make, windfield_make
+
+from oracles import budget_equivalence_sides
 
 
 def _deploy_start(problem, x0, z0):

@@ -73,11 +73,6 @@ def test_reward_config_rejects_negative_weights():
 # -- shaping potential ----------------------------------------------------------------
 
 
-def test_potential_is_zero_when_shaping_is_disabled(pendulum):
-    cfg = LagrangianRewardConfig(shaping_enabled=False, shaping_k=3.0)
-    assert baselines.potential_phi(pendulum, np.array([2.0, 1.0]), cfg) == 0.0
-
-
 def test_potential_vanishes_at_the_goal_and_tracks_distance(pendulum):
     cfg = LagrangianRewardConfig(shaping_enabled=True, shaping_k=2.0)
     at_goal = baselines.potential_phi(pendulum, np.array([0.0, 0.0]), cfg)

@@ -80,7 +80,7 @@ def baseline_run(tiny_cfg, tmp_path_factory):
 
 def _write_linear_value(path: str, z_coef: float, bias: float, z_max: float = 100.0):
     """Save a one-layer value net whose scaled output is bias + z_coef * z/z_max."""
-    params = approx.mlp_init((4, 1), np.random.default_rng(0), activation="identity")
+    params = approx.mlp_init((4, 1), np.random.default_rng(0))
     params.weights[0][:] = 0.0
     params.weights[0][3, 0] = z_coef
     params.biases[0][:] = bias
@@ -199,6 +199,23 @@ def test_baseline_clip_eps_outside_the_unit_interval_is_refused(tmp_path):
         assert not out.exists()
 
 
+def test_config_values_that_cannot_run_are_refused_in_one_error_line(tmp_path):
+    cases = {
+        "Error: minibatch_size must be at least 1, got 0":
+            dict(TINY, train=dict(TINY["train"], minibatch_size=0)),
+        "Error: noise_half_width must be >= 0":
+            dict(TINY, env={"name": "pendulum", "noise_half_width": -0.1}),
+    }
+    for i, (want, raw) in enumerate(cases.items()):
+        config, out = tmp_path / f"bad{i}.yaml", tmp_path / f"run{i}"
+        config.write_text(yaml.safe_dump(raw))
+        result = CliRunner().invoke(cli.main, ["train", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip().splitlines()[-1] == want
+        assert not out.exists()
+
+
 def test_finetune_takes_big_c_from_the_value_checkpoint(tiny_cfg, rcppo_run, tmp_path):
     # load_artifact checks a value's meta for big_c, not a policy's
     run = tmp_path / "run"
@@ -294,7 +311,7 @@ def test_fit_zmap_fails_loudly_when_mostly_infeasible(hopeless_value, tmp_path):
 
 
 def test_deploy_writes_trajectory_csv_with_blank_trailing_action(
-    tiny_cfg, rcppo_run, tmp_path
+    tiny_cfg, rcppo_run, tmp_path, pendulum
 ):
     out = tmp_path / "traj.csv"
     result = _invoke([
@@ -316,6 +333,13 @@ def test_deploy_writes_trajectory_csv_with_blank_trailing_action(
         assert float(after[z_col]) == pytest.approx(
             float(before[z_col]) - float(before[cost_col]), abs=1e-9
         )
+    # the margins are those of the logged states, ghat at the policy's big_c
+    _, meta = approx.load_checkpoint(f"{rcppo_run}/policy.ckpt")
+    cols = np.array([[float(v) for v in row[1:3] + row[4:9]] for row in rows[1:]])
+    states, g, h, ghat, y, z = cols[:, :2], *cols[:, 2:].T
+    assert np.array_equal(g, pendulum.goal_margin(states))
+    assert np.array_equal(h, pendulum.avoid_margin(states))
+    assert np.array_equal(ghat, np.maximum(np.maximum(g, meta["big_c"] * y), -z))
 
 
 def test_deploy_from_a_goal_state_is_a_single_row(tiny_cfg, rcppo_run, tmp_path):

@@ -219,6 +219,12 @@ def test_noise_half_width_wraps_the_problem():
     assert not isinstance(bare, ControlNoiseWrapper)
 
 
+def test_a_negative_noise_half_width_is_refused_not_run_without_noise():
+    cfg = resolve_config({"env": {"noise_half_width": -0.1}})
+    with pytest.raises(ValueError, match="noise_half_width must be >= 0"):
+        build_problem(cfg)
+
+
 def test_phase1_from_maps_fields_and_seed_override():
     cfg = resolve_config({"train": {"hidden": [32, 16], "z_max": 500.0}})
     p1 = phase1_from(cfg)

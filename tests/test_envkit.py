@@ -214,9 +214,9 @@ def test_grid_step_cost_table_forms():
         3, 3, hazards=(), goal_cell=(0, 0), step_cost_table={(r, c): 1.0 + r for r in range(3) for c in range(3)}
     )
     assert by_cell.cost[2 * 3 + 1, 0] == pytest.approx(3.0)
-    full = np.full((9, 4), 0.25)
-    arr = grid_reachavoid_make(3, 3, hazards=(), goal_cell=(0, 0), step_cost_table=full)
-    assert np.all(arr.cost == 0.25)
+    for other in (np.full((9, 4), 0.25), "2.5", [1.0]):
+        with pytest.raises(TypeError, match="step_cost_table"):
+            grid_reachavoid_make(3, 3, hazards=(), goal_cell=(0, 0), step_cost_table=other)
 
 
 def test_grid_rejects_bad_geometry():

@@ -45,6 +45,7 @@ from reachbudget.envkit import (
     windfield_make,
 )
 
+from oracles import tabular_q_values
 from test_baselines import SOLVER_CASES
 
 ENVS = {
@@ -184,7 +185,7 @@ def _run_tabular(operator):
         return (_tabular(1.0)[1],)
     aug, table = _tabular(0.99)
     if operator == "q":
-        return (reachval.tabular_q_values(aug, table),)
+        return (tabular_q_values(aug, table),)
     policy = np.random.default_rng(5).integers(0, aug.mdp.n_actions, aug.shape)
     return (reachval.tabular_value_iteration(aug, policy=policy, gamma=0.99),)
 

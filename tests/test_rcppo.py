@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mlp_reference, regression_fit_reference, sequential_bisection
+from oracles import (
+    finite_difference_check,
+    mlp_reference,
+    regression_fit_reference,
+    sequential_bisection,
+)
 from test_golden import _zmap
 import reachbudget
 from reachbudget import approx, baselines, cli, rcppo, reachval
@@ -188,7 +194,7 @@ def test_policy_loss_gradients_match_finite_differences(seed):
         )
         return loss, grads
 
-    err = approx.finite_difference_check(loss_and_grad, policy.trainable(), rng)
+    err = finite_difference_check(loss_and_grad, policy.trainable(), rng)
     assert err < 1e-4
 
 
@@ -227,7 +233,7 @@ def test_value_loss_gradients_match_finite_differences():
     def loss_and_grad(_params):
         return rcppo.value_loss(net, obs, targets, 2.5)
 
-    assert approx.finite_difference_check(loss_and_grad, net.trainable(), rng) < 1e-4
+    assert finite_difference_check(loss_and_grad, net.trainable(), rng) < 1e-4
 
 
 # -- rollout collection ---------------------------------------------------------------
@@ -476,6 +482,29 @@ def test_every_trainer_refuses_a_batch_in_which_no_episode_steps():
         lambda: baselines.train_ppo_baseline(grid, base),
     ):
         with pytest.raises(RuntimeError, match="no episode took a step: every start"):
+            train()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_envs", 0), ("epochs", 0), ("minibatch_size", 0),
+    ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+])
+def test_every_trainer_refuses_a_schedule_that_cannot_train(pendulum, field, value):
+    # refused before the first collect, where each would otherwise stop on
+    # a later error, log NaN losses or train uphill without complaint
+    bad = {"total_steps": 200, "n_envs": 2, field: value}
+    p1 = rcppo.Phase1Config(hidden=(8, 8), big_c=10.0, z_max=100.0)
+    fresh = rcppo.train_phase1(pendulum, dataclasses.replace(p1, total_steps=0))
+    for train in (
+        lambda: rcppo.train_phase1(pendulum, dataclasses.replace(p1, **bad)),
+        lambda: rcppo.finetune_phase2(
+            pendulum, fresh.policy, fresh.value, fresh.meta, rcppo.Phase2Config(**bad)
+        ),
+        lambda: baselines.train_ppo_baseline(
+            pendulum, baselines.BaselineConfig(hidden=(8, 8), **bad)
+        ),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             train()
 
 
@@ -1096,6 +1125,20 @@ def test_deployment_reports_infeasible_starts_and_falls_back_to_z_max(pendulum):
     assert traj.infeasible_start
     assert traj.z0 == 77.0
     assert traj.length > 0
+
+
+def test_deployment_takes_a_numpy_budget_as_a_number_and_refuses_a_bool(pendulum):
+    policy = _small_policy(4, _rng(30))
+    x0 = np.array([np.pi, 0.0])
+    want = rcppo.deploy_policy(pendulum, policy, _meta(), 50.0, x0)
+    for z0 in (np.int64(50), np.float32(50.0)):
+        got = rcppo.deploy_policy(pendulum, policy, _meta(), z0, x0)
+        assert got.z0 == 50.0
+        for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
+            assert np.array_equal(a, b)
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(TypeError, match="budget must be a number"):
+            rcppo.deploy_policy(pendulum, policy, _meta(), flag, x0)
 
 
 def test_budget_free_deployment_keeps_an_infinite_budget_column(pendulum):

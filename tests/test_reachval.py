@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,17 @@ from reachbudget.reachval import (
     discounted_backup,
     make_z_grid,
     snap_z_index,
-    tabular_q_values,
     tabular_value_iteration,
     discount_sign_bound,
 )
 
-from oracles import backup_sweep_reference, dijkstra_grid, naive_gae, naive_phi
+from oracles import (
+    backup_sweep_reference,
+    dijkstra_grid,
+    naive_gae,
+    naive_phi,
+    tabular_q_values,
+)
 
 
 # -- single backups --------------------------------------------------------------
@@ -86,6 +93,19 @@ def test_advantage_chains_match_direct_series():
     lit, _ = _gae_arrays(ghat, values, tail, 0.95, 0.9, mode="literal")
     want_lit = naive_gae(ghat, values, tail, 0.95, 0.9, "literal")
     assert np.allclose(lit, want_lit, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "literal"])
+def test_the_phi_fold_refuses_a_trace_weight_outside_zero_to_one(mode):
+    # at lam = 1 both weightings divide by zero, so the advantages were NaN
+    # (renormalized) or infinite (literal) and training stopped on a
+    # non-finite loss; lam = 0 is the one-step estimate
+    ghat, values = np.array([5.0, 1.0]), np.array([2.0, 0.5])
+    for lam in (1.0, 1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="lam must be in"):
+            _gae_arrays(ghat, values, -1.0, 0.9, lam, mode=mode)
+    gae, _ = _gae_arrays(ghat, values, -1.0, 0.9, 0.0, mode=mode)
+    assert np.all(np.isfinite(gae))
 
 
 def test_renormalized_weights_sum_to_one_even_on_short_tails():
