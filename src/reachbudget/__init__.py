@@ -12,7 +12,7 @@ import sys
 # The environment variables that set the BLAS thread count. BLAS reads
 # them once, when numpy loads, so the pin below only applies before
 # that. One thread is the faster setting at these network sizes, and it
-# lets training run its policy and value steps on two threads without
+# lets training run its minibatch updates on two threads without
 # oversubscribing the cores (rcppo.TWO_THREAD_UPDATES).
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

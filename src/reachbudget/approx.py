@@ -15,13 +15,37 @@ adam_step updates a whole net with a few vector operations instead of
 a loop over its arrays. Checkpoints still hold one entry per array.
 
 At 256x256 the temporaries of an elementwise step cost more than its
-arithmetic, so the forward pass adds the bias and applies tanh in place
-on the fresh matmul output, the backward pass scales delta in place and
-backpropagates through a one-column layer by broadcasting, and Adam
-works through two scratch vectors. The values are bitwise those of the
-plain expressions (tests/oracles.py keeps them). No function keeps
-state between calls, and each writes only the arrays it is given or
-creates, so two threads may train two different nets at once.
+arithmetic, so the forward pass writes each layer's matmul into an
+output it allocates and adds the bias and applies tanh there in place,
+the backward pass scales delta in place and backpropagates through a
+one-column layer by broadcasting, and Adam works through two scratch
+vectors. The values are bitwise those of the plain expressions
+(tests/oracles.py keeps them). No function keeps state between calls,
+and each writes only the arrays it is given or creates, so two threads
+may train two different nets at once.
+
+One net's forward, backward and Adam step may also split across a
+worker thread (their worker argument), with bitwise the same results.
+The backward pass forms a hidden layer's weight gradient on the worker
+while the caller backpropagates delta through it: the same numpy calls
+on the same arrays, only at the same time. Adam updates the two halves
+of its vectors apart, and every one of its operations is elementwise.
+The forward pass runs rows 0:4 * (n // 8) through the net on the
+worker and the rest on the caller. That is safe only where a row's bits
+do not depend on the rows it is computed with, and OpenBLAS does not
+promise that. A split at a multiple of 4 keeps each row's offset modulo
+4, and leaves the last n % 4 rows at the end of a call, as in the whole
+call. Measured under OpenBLAS's SkylakeX, Haswell and Sandybridge
+kernels, that keeps every float64 row's bits when each layer is 1 or a
+multiple of 8 wide. Other widths lost bits under SkylakeX once the
+split moved a call's size across a threshold, which points to a
+size-chosen kernel path, and float32 lost bits under Haswell. So the
+property is verified per kernel, not guaranteed: the forward splits
+only float64 nets of such widths, and only when the loaded OpenBLAS
+reports one of those three kernels (read once, at import). Under any
+other kernel or BLAS it runs whole, and the backward and Adam still
+split. tests/test_approx.py checks the property under the host's
+kernel and, in child processes, under Haswell and Sandybridge.
 
 Checkpoints are zip archives of .npy entries written with a pinned
 timestamp so identical parameters produce identical bytes.
@@ -29,10 +53,15 @@ timestamp so identical parameters produce identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import functools
+import glob
 import io
 import json
 import math
+import os
 import zipfile
 from dataclasses import dataclass
 
@@ -132,33 +161,97 @@ def mlp_init(
     return MlpParams(weights=weights, biases=biases)
 
 
+def _openblas_get(stem: str, restype):
+    """What the getter scipy_openblas_get_<stem> of the OpenBLAS in the
+    numpy wheel returns, as restype, or None where numpy.libs holds no
+    such library or getter. It is only read: nothing here sets OpenBLAS."""
+    wheel_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(wheel_libs, "*scipy_openblas*")):
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(path)
+            for name in (f"scipy_openblas_get_{stem}64_", f"scipy_openblas_get_{stem}"):
+                get = getattr(lib, name, None)
+                if get is not None:
+                    get.argtypes, get.restype = (), restype
+                    return get()
+    return None
+
+
+# The OpenBLAS kernels under which a row split forward was measured to
+# keep every row's bits. OpenBLAS does not promise it, so under any
+# other kernel, or another BLAS, mlp_forward never splits its rows.
+_ROW_SPLIT_CORES = (b"SkylakeX", b"Haswell", b"Sandybridge")
+_FORWARD_SPLITS = _openblas_get("corename", ctypes.c_char_p) in _ROW_SPLIT_CORES
+
+
+def _on_two_threads(worker, job, rest):
+    """rest() here while job() runs on worker, or both here in that order
+    when worker is None; returns rest's result once both have finished."""
+    if worker is None:
+        job()
+        return rest()
+    future = worker.submit(job)
+    try:
+        return rest()
+    finally:
+        future.result()
+
+
 def mlp_forward(
-    params: MlpParams, x: np.ndarray, return_cache: bool = False
+    params: MlpParams, x: np.ndarray, return_cache: bool = False, worker=None
 ):
     """Forward pass on rows x, (n, d_in); another rank raises ValueError.
 
     x is cast to the net's dtype, which the output and cache share.
     With return_cache the post-activation of every layer comes back for
-    reuse by mlp_backward.
+    reuse by mlp_backward. Every layer's output is allocated first and
+    written in place. With worker, an executor with a free thread, rows
+    0:4 * (n // 8) go through the net on it and the rest here, where
+    that keeps the bits (_row_split); elsewhere the whole forward runs
+    here.
     """
     h = np.asarray(x, dtype=params.flat.dtype)
     if h.ndim != 2:
         raise ValueError(f"network input must be rows (n, d), got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite network input")
-    cache = [h] if return_cache else None
+    cache = [h, *(np.empty((h.shape[0], w.shape[1]), h.dtype) for w in params.weights)]
+    split = 0 if worker is None else _row_split(params, h)
+    if split:
+        _on_two_threads(
+            worker,
+            lambda: _forward_rows(params, cache, slice(0, split)),
+            lambda: _forward_rows(params, cache, slice(split, None)),
+        )
+    else:
+        _forward_rows(params, cache, slice(None))
+    return (cache[-1], cache) if return_cache else cache[-1]
+
+
+def _row_split(params: MlpParams, h: np.ndarray) -> int:
+    """The row at which mlp_forward may split h over a worker, or 0 if
+    it must not: the split was measured to keep a row's bits only under
+    the _ROW_SPLIT_CORES kernels, for float64 nets whose layers are 1 or
+    a multiple of 8 wide (see the module docstring)."""
+    if not _FORWARD_SPLITS or h.dtype != np.float64:
+        return 0
+    if any(w.shape[1] != 1 and w.shape[1] % 8 for w in params.weights):
+        return 0
+    return 4 * (h.shape[0] // 8)
+
+
+def _forward_rows(params: MlpParams, cache: list[np.ndarray], rows: slice) -> None:
+    """The forward pass of cache[0][rows], written into those rows of
+    the layer outputs cache[1:]."""
+    h = cache[0][rows]
     n_hidden = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        # h @ w is a fresh array, so the bias and tanh go in place
-        h = h @ w
-        h += b
+        out = cache[i + 1][rows]
+        np.matmul(h, w, out=out)
+        out += b
         if i < n_hidden:
-            np.tanh(h, out=h)
-        if cache is not None:
-            cache.append(h)
-    if return_cache:
-        return h, cache
-    return h
+            np.tanh(out, out=out)
+        h = out
 
 
 def mlp_backward(
@@ -166,6 +259,7 @@ def mlp_backward(
     upstream_grad: np.ndarray,
     cache: list[np.ndarray],
     out: np.ndarray | None = None,
+    worker=None,
 ) -> list[np.ndarray]:
     """Reverse-mode parameter gradients of sum(upstream_grad * output).
 
@@ -175,7 +269,10 @@ def mlp_backward(
     MlpParams.trainable() order, as views into one vector laid out
     like params.flat: out if given, else a fresh one in the net's
     dtype, to which upstream_grad is cast. The input gradient is
-    never formed: the loop stops at layer 0.
+    never formed: the loop stops at layer 0. With worker, an executor
+    with a free thread, a hidden layer with more than one output forms
+    its weight and bias gradients on it while this thread backpropagates
+    delta through it; the two read the same delta and write apart.
     """
     dtype = params.flat.dtype
     up = np.asarray(upstream_grad, dtype=dtype)
@@ -186,19 +283,33 @@ def mlp_backward(
     grads = _views(grad, [a.shape for a in params.trainable()])
     delta = up  # gradient at the current layer's pre-activation
     for i in range(n_layers - 1, -1, -1):
-        np.matmul(cache[i].T, delta, out=grads[2 * i])
-        np.sum(delta, axis=0, out=grads[2 * i + 1])
+        layer_grads = functools.partial(_layer_grads, cache[i], delta, grads[2 * i : 2 * i + 2])
         if i == 0:
+            layer_grads()
             break
         w = params.weights[i]
-        # a one-column layer backpropagates by broadcasting, not an
-        # outer-product matmul; either way delta is a fresh array
-        delta = delta * w[:, 0] if w.shape[1] == 1 else delta @ w.T
-        # cache[i] is the tanh output feeding layer i
-        slope = np.square(cache[i])
-        np.subtract(1.0, slope, out=slope)
-        delta *= slope
+        delta = _on_two_threads(
+            worker if w.shape[1] > 1 else None, layer_grads,
+            functools.partial(_backprop, delta, w, cache[i]),
+        )
     return grads
+
+
+def _layer_grads(c: np.ndarray, delta: np.ndarray, out: list[np.ndarray]) -> None:
+    """A layer's weight and bias gradients into out, given its input c."""
+    np.matmul(c.T, delta, out=out[0])
+    np.sum(delta, axis=0, out=out[1])
+
+
+def _backprop(delta: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """delta through the layer of weights w and the tanh output c below it."""
+    # a one-column layer backpropagates by broadcasting, not an
+    # outer-product matmul; either way delta is a fresh array
+    delta = delta * w[:, 0] if w.shape[1] == 1 else delta @ w.T
+    slope = np.square(c)
+    np.subtract(1.0, slope, out=slope)
+    delta *= slope
+    return delta
 
 
 # -- Gaussian policy head ------------------------------------------------------
@@ -346,26 +457,40 @@ class AdamState:
 
 
 def adam_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
+    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray], worker=None
 ) -> list[np.ndarray]:
     """One update, in place on params; returns params for chaining.
 
     params is a net's trainable() list and grads the aligned list from
     its backward pass. Each list must be the views of one vector, and
-    the update runs on the two vectors whole.
+    the update runs on the two vectors whole, or with worker, an
+    executor with a free thread, on their two halves at once.
     """
     p, g = _vector_of(params), _vector_of(grads)
     if p.shape != state.m.shape or [a.shape for a in params] != [a.shape for a in grads]:
         raise ValueError("params/grads layout mismatch with optimizer state")
-    lr = state.base_lr
     state.step += 1
     b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1**state.step
-    bias2 = 1.0 - b2**state.step
-    m, v = state.m, state.v
+    consts = (state.base_lr, b1, b2, 1.0 - b1**state.step, 1.0 - b2**state.step, state.eps)
+    # the scratch vectors come from this thread either way, so a worker
+    # allocates nothing and the heap sees the inline update's requests
+    vecs = (p, g, state.m, state.v, np.empty_like(p), np.empty_like(p))
+    if worker is None:
+        _adam_update(*vecs, *consts)
+    else:
+        half = p.size // 2
+        _on_two_threads(
+            worker,
+            lambda: _adam_update(*(a[:half] for a in vecs), *consts),
+            lambda: _adam_update(*(a[half:] for a in vecs), *consts),
+        )
+    return params
+
+
+def _adam_update(p, g, m, v, step, denom, lr, b1, b2, bias1, bias2, eps) -> None:
+    """Adam on aligned vectors, in place on p, m and v."""
     # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps) in the same
-    # operation order, through two scratch vectors
-    step, denom = np.empty_like(p), np.empty_like(p)
+    # operation order, through the scratch vectors step and denom
     m *= b1
     np.multiply(g, 1.0 - b1, out=step)
     m += step
@@ -377,10 +502,9 @@ def adam_step(
     step *= lr
     np.divide(v, bias2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += eps
     step /= denom
     p -= step
-    return params
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -16,6 +16,7 @@ distilled into a small regressor for deployment.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import numbers
 import os
@@ -36,10 +37,37 @@ from .envkit.base import ReachAvoidProblem, _as_batch
 from .reachval import _gae_arrays, discount_sign_bound
 
 
-# A phase-1 or baseline minibatch takes its policy and value steps on two
-# threads only when BLAS runs one thread per call: with more, the two
-# nets' matmuls oversubscribe the cores and run slower than in turn.
-TWO_THREAD_UPDATES = all(os.environ.get(v) == "1" for v in BLAS_THREAD_VARS)
+def _blas_threads() -> int | None:
+    """The thread count of the loaded OpenBLAS, or None where it cannot
+    be read; the count is only read, never set."""
+    return approx._openblas_get("num_threads", ctypes.c_int)
+
+
+def _two_thread_updates() -> bool:
+    """Whether training may run its updates on two threads: the process
+    may use two CPUs, and BLAS runs one thread per call. With more BLAS
+    threads the two threads' matmuls oversubscribe the cores and run
+    slower than in turn. The count is read from the loaded OpenBLAS
+    where it can be; elsewhere each of BLAS_THREAD_VARS must read 1.
+    Either way, one of them set to another count keeps the updates on
+    one thread: it asks for threaded BLAS or OpenMP work in this process.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return False
+    threads = _blas_threads()
+    if threads is None:
+        return all(os.environ.get(v) == "1" for v in BLAS_THREAD_VARS)
+    return threads == 1 and all(os.environ.get(v, "1") == "1" for v in BLAS_THREAD_VARS)
+
+
+# Phase 1 and the baseline take each minibatch's policy and value steps
+# on two threads, and the phase-2 refit splits its value step's kernels
+# over two, only when this holds (see _ppo_update).
+TWO_THREAD_UPDATES = _two_thread_updates()
 
 
 class Infeasible(RuntimeError):
@@ -76,6 +104,7 @@ class Phase1Config:
             raise ValueError("need z_min < z_max")
         if not 0.0 < self.clip_eps < 1.0:
             raise ValueError("clip_eps must be in (0, 1)")
+        _check_lam(self.lam)
 
 
 @dataclass
@@ -92,6 +121,15 @@ class Phase2Config:
     lam: float = 0.95
     gae_mode: str = "renormalized"
     seed: int = 1
+
+    def __post_init__(self) -> None:
+        _check_lam(self.lam)
+
+
+def _check_lam(lam: float) -> None:
+    """Refuse a trace weight the phi fold cannot take, before any collect."""
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"lam must be in [0, 1), got {lam}")
 
 
 @dataclass
@@ -459,18 +497,20 @@ def value_loss(
     obs: np.ndarray,
     targets: np.ndarray,
     target_scale: float,
+    worker=None,
 ) -> tuple[float, list[np.ndarray]]:
     """MSE between predictions and fixed targets, in scaled units.
 
     The net predicts value / target_scale; targets come in raw units
     and are scaled here, so the loss magnitude stays O(1). Targets are
-    cast to the net's dtype, as mlp_forward casts obs.
+    cast to the net's dtype, as mlp_forward casts obs. worker goes to
+    the forward and backward passes (see approx.mlp_forward).
     """
-    out, cache = approx.mlp_forward(value_params, obs, return_cache=True)
+    out, cache = approx.mlp_forward(value_params, obs, return_cache=True, worker=worker)
     diff = out[:, 0] - np.asarray(targets, dtype=value_params.flat.dtype) / target_scale
     loss = float(np.mean(diff**2))
     upstream = (2.0 * diff / diff.shape[0])[:, None]
-    grads = approx.mlp_backward(value_params, upstream, cache)
+    grads = approx.mlp_backward(value_params, upstream, cache, worker=worker)
     return loss, grads
 
 
@@ -485,14 +525,16 @@ def _ppo_update(
     cfg supplies epochs, minibatch_size and, with a policy, clip_eps.
     policy is None for a value-only update, or (params, adam,
     actions_raw, log_probs, advantages, entropy_coef); each minibatch
-    then also takes a clipped-surrogate step. The two steps read the
-    same rows and write disjoint parameters and Adam states, so with
-    TWO_THREAD_UPDATES the value step runs on a worker thread while this
-    thread takes the policy step; both finish before the finite check,
-    and the results are bitwise those of running them one after the
-    other. Returns the last minibatch's losses and policy diagnostics as
-    log columns; a value-only update logs zero policy loss, entropy and
-    KL.
+    then also takes a clipped-surrogate step. With TWO_THREAD_UPDATES
+    the call opens one worker thread. With a policy, each minibatch's
+    value step runs on it while this thread takes the policy step: the
+    two read the same rows and write disjoint parameters and Adam
+    states. Without one, the value step's forward, backward and Adam
+    kernels split their work with it (see approx.mlp_forward). Both
+    steps finish before the finite check, and the results are bitwise
+    those of the inline update. Returns the last minibatch's losses and
+    policy diagnostics as log columns; a value-only update logs zero
+    policy loss, entropy and KL.
     """
     if policy is None:
         p_loss, stats = 0.0, {"entropy": 0.0, "kl_estimate": 0.0}
@@ -508,15 +550,15 @@ def _ppo_update(
         approx.adam_step(adam, params.trainable(), grads)
         return loss, step_stats
 
-    def value_step(mb):
-        loss, grads = value_loss(value_params, obs[mb], returns[mb], value_scale)
-        approx.adam_step(val_adam, value_params.trainable(), grads)
+    def value_step(mb, worker=None):
+        loss, grads = value_loss(value_params, obs[mb], returns[mb], value_scale, worker)
+        approx.adam_step(val_adam, value_params.trainable(), grads, worker)
         return loss
 
     v_loss = math.nan
     n_samples = obs.shape[0]
-    workers = contextlib.nullcontext()  # enters as None: both steps inline
-    if policy is not None and TWO_THREAD_UPDATES:
+    workers = contextlib.nullcontext()  # enters as None: everything inline
+    if TWO_THREAD_UPDATES:
         # imported on first use: it loads logging, which nothing else needs
         from concurrent.futures import ThreadPoolExecutor
 
@@ -526,7 +568,9 @@ def _ppo_update(
             order = rng.permutation(n_samples)
             for lo in range(0, n_samples, cfg.minibatch_size):
                 mb = order[lo : lo + cfg.minibatch_size]
-                if pool is not None:
+                if policy is None:
+                    v_loss = value_step(mb, pool)
+                elif pool is not None:
                     value_job = pool.submit(value_step, mb)
                     try:
                         p_loss, stats = policy_step(mb)
@@ -535,8 +579,7 @@ def _ppo_update(
                         raise
                     v_loss = value_job.result()
                 else:
-                    if policy is not None:
-                        p_loss, stats = policy_step(mb)
+                    p_loss, stats = policy_step(mb)
                     v_loss = value_step(mb)
                 if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
                     raise RuntimeError(

@@ -247,21 +247,19 @@ def apply_backup_sweep(
 
 def tabular_value_iteration(
     aug: AugmentedTabular,
-    policy: np.ndarray | None = None,
     gamma: float = 0.99,
     tol: float = 1e-9,
     max_sweeps: int | None = None,
 ) -> TabularValueTable:
     """Solve the discounted reach backup to its fixed point.
 
-    Starting from V = ghat the sweeps decrease monotonically and, for
-    these deterministic transition systems, settle exactly: every
-    forward orbit grounds at a cycle's minimum margin, so the residual
-    reaches 0 after at most about two passes over the augmented states.
+    Starting from V = ghat the greedy (min over actions) sweeps decrease
+    monotonically and, for these deterministic transition systems,
+    settle exactly: every forward orbit grounds at a cycle's minimum
+    margin, so the residual reaches 0 after at most about two passes
+    over the augmented states.
 
     Args:
-        policy: None for the greedy (min over actions) operator, a (S,)
-            action table, or a full (S, 2, Z) table.
         gamma: discount in (0, 1]; 1 selects the undiscounted backup.
         tol: residual at which to stop if exact convergence has not
             already happened.
@@ -271,19 +269,6 @@ def tabular_value_iteration(
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
-    s_n, _, z_n = aug.shape
-    if policy is None:
-        succ = aug.succ
-    else:
-        policy = np.asarray(policy)
-        if policy.shape == (s_n,):
-            pol_full = np.broadcast_to(policy[:, None, None], aug.shape)
-        elif policy.shape == aug.shape:
-            pol_full = policy
-        else:
-            raise ValueError("policy must have shape (S,) or (S, 2, Z)")
-        succ = np.take_along_axis(aug.succ, pol_full[..., None], axis=-1)[..., 0]
-
     if max_sweeps is None:
         max_sweeps = 2 * aug.ghat.size + 200
 
@@ -291,7 +276,7 @@ def tabular_value_iteration(
     gap = np.empty_like(values)
     residuals = []
     for sweep in range(1, max_sweeps + 1):
-        new = apply_backup_sweep(aug.ghat, succ, values, gamma, frozen=aug.absorbing)
+        new = apply_backup_sweep(aug.ghat, aug.succ, values, gamma, frozen=aug.absorbing)
         np.subtract(new, values, out=gap)
         residual = float(np.max(np.abs(gap, out=gap)))
         residuals.append(residual)

@@ -7,8 +7,9 @@ rather than tautology.
 
 The checkers at the end are the language the acceptance claims are
 written in: both sides of the budget equivalence, the Q table of a
-solved value table, and a central-difference gradient check. The first
-two compose the package's own margin and backup on purpose.
+solved value table, a fixed policy's value table, and a
+central-difference gradient check. The first three compose the
+package's own margin and backup on purpose.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ import numpy as np
 
 from reachbudget.augment import AugmentedGoalParams, augmented_goal, shifted_indicator
 from reachbudget.envkit.base import ReachAvoidProblem
-from reachbudget.reachval import AugmentedTabular, TabularValueTable, discounted_backup
+from reachbudget.reachval import (
+    AugmentedTabular,
+    TabularValueTable,
+    apply_backup_sweep,
+    discounted_backup,
+)
 
 GOAL_PLATEAU = -300.0
 
@@ -325,6 +331,35 @@ def tabular_q_values(aug: AugmentedTabular, table: TabularValueTable) -> np.ndar
     """Q(s_hat, a) induced by a solved value table, shape (S, 2, Z, A)."""
     q = discounted_backup(aug.ghat[..., None], table.values.reshape(-1)[aug.succ], table.gamma)
     return np.where(aug.absorbing[..., None], aug.ghat[..., None], q)
+
+
+def fixed_policy_values(
+    aug: AugmentedTabular, policy: np.ndarray, gamma: float, tol: float = 1e-9
+) -> TabularValueTable:
+    """The fixed point of the discounted reach backup under one policy.
+
+    policy is an (S,) action table or a full (S, 2, Z) one. Sweeps the
+    policy's chain with apply_backup_sweep from V = ghat until the
+    residual is 0 or below tol, as tabular_value_iteration sweeps the
+    greedy operator, and returns the same kind of table.
+    """
+    policy = np.asarray(policy)
+    if policy.shape == aug.shape[:1]:
+        policy = np.broadcast_to(policy[:, None, None], aug.shape)
+    if policy.shape != aug.shape:
+        raise ValueError("policy must have shape (S,) or (S, 2, Z)")
+    succ = np.take_along_axis(aug.succ, policy[..., None], axis=-1)[..., 0]
+    values, residuals = aug.ghat.copy(), []
+    for sweep in range(1, 2 * aug.ghat.size + 201):
+        new = apply_backup_sweep(aug.ghat, succ, values, gamma, frozen=aug.absorbing)
+        residuals.append(float(np.max(np.abs(new - values))))
+        values = new
+        if residuals[-1] == 0.0 or residuals[-1] < tol:
+            return TabularValueTable(
+                values=values, z_grid=aug.z_grid, residuals=np.asarray(residuals),
+                gamma=gamma, big_c=aug.big_c, sweeps=sweep,
+            )
+    raise RuntimeError(f"fixed-policy evaluation missed tol={tol}")
 
 
 def finite_difference_check(

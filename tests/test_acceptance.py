@@ -35,6 +35,7 @@ from oracles import (
     budget_equivalence_sides,
     dijkstra_grid,
     finite_difference_check,
+    fixed_policy_values,
     tabular_q_values,
 )
 from reachbudget import approx, baselines, rcppo
@@ -339,7 +340,7 @@ def test_discount_threshold_separates_arrivals_from_wanderers():
             sign_errors += int(np.sum(absorbed & (values >= 0.0)))
             sign_errors += int(np.sum(~absorbed & (values <= 0.0)))
             if layout["width"] == 3:
-                fixed = tabular_value_iteration(aug, policy=policy, gamma=0.9)
+                fixed = fixed_policy_values(aug, policy, 0.9)
                 fold, _ = _orbit_values(mdp, aug, z_grid, policy, starts, 0.9)
                 ref = fixed.values[starts, 0, len(z_grid) - 1]
                 grounding_dev = max(grounding_dev, float(np.max(np.abs(fold - ref))))

@@ -2,9 +2,13 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reachbudget
 
@@ -295,6 +299,170 @@ def test_every_trainable_array_is_a_view_of_its_nets_one_vector(tmp_path):
     # the trunk's vector is the head of the policy's, and copies share nothing
     assert np.shares_memory(policy.trunk.flat, policy.flat)
     assert not np.shares_memory(approx.MlpParams(value.weights, value.biases).flat, value.flat)
+
+
+# -- kernels split over a worker thread ---------------------------------------------
+
+
+class _CountingWorker(ThreadPoolExecutor):
+    """A one-thread executor that counts the jobs it runs off the caller."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.jobs = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.jobs += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+def _as_bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33, 187, 256])
+def test_kernels_split_over_a_worker_are_bitwise_the_inline_kernels(dtype, n):
+    rng = _rng(n)
+    net64 = approx.mlp_init((4, 256, 256, 1), rng)
+    net64.flat += 0.1 * rng.normal(size=net64.flat.size)  # nonzero biases
+    x, upstream = rng.normal(size=(n, 4)), rng.normal(size=(n, 1))
+    runs = []
+    with _CountingWorker() as worker:
+        for w in (None, worker):
+            net = net64.astype(dtype)
+            out, cache = approx.mlp_forward(net, x, return_cache=True, worker=w)
+            plain = approx.mlp_forward(net, x, worker=w)
+            grads = approx.mlp_backward(net, upstream, cache, worker=w)
+            adam = approx.AdamState.for_params(net.trainable(), 1e-3)
+            for _ in range(2):
+                approx.adam_step(adam, net.trainable(), grads, w)
+            assert out.dtype == grads[0].dtype == net.flat.dtype == adam.m.dtype == dtype
+            runs.append(_as_bytes([out, plain, *cache, *grads, net.flat, adam.m, adam.v]))
+    assert runs[0] == runs[1]
+    # under a kernel where the row split was measured, a float64 forward
+    # of 8 rows or more splits its rows; the backward splits its one
+    # 256-output hidden layer and Adam its vector
+    forwards = 2 if approx._FORWARD_SPLITS and dtype == np.float64 and n >= 8 else 0
+    assert worker.jobs == forwards + 1 + 2
+
+
+class _MeasuringWorker:
+    """Runs each job at once on the calling thread and records the most
+    memory it held above its start, as tracemalloc counts numpy's."""
+
+    def __init__(self):
+        self.peaks = []
+
+    def submit(self, fn):
+        future = Future()
+        tracemalloc.start()
+        try:
+            fn()
+            self.peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        future.set_result(None)
+        return future
+
+
+def test_a_worker_job_allocates_no_arrays():
+    # the caller makes every array: Adam scratch made on the worker grew
+    # the bench's resident set by 20 MB over a minute. A job may still
+    # hold numpy's ufunc buffer, np.getbufsize() elements, for the bias
+    # add, but nothing the size of its rows (128 x 256 here) or vectors
+    rng = _rng(40)
+    net = approx.mlp_init((4, 256, 256, 1), rng)
+    x, upstream = rng.normal(size=(256, 4)), rng.normal(size=(256, 1))
+    worker = _MeasuringWorker()
+    _, cache = approx.mlp_forward(net, x, return_cache=True, worker=worker)
+    grads = approx.mlp_backward(net, upstream, cache, worker=worker)
+    approx.adam_step(approx.AdamState.for_params(net.trainable(), 1e-3), net.trainable(), grads, worker)
+    bound = np.getbufsize() * 8 + 4096
+    assert len(worker.peaks) == 2 + approx._FORWARD_SPLITS and max(worker.peaks) < bound, worker.peaks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(
+        st.one_of(st.integers(1, 40).map(lambda k: 8 * k), st.integers(1, 300)),
+        min_size=2, max_size=4,
+    ),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_row_split_forward_is_bitwise_the_whole_forward(widths, n, seed):
+    # a float64 net whose layers are 1 or a multiple of 8 wide splits
+    # its rows at a multiple of 4; any other runs inline
+    rng = _rng(seed)
+    net = approx.mlp_init(tuple(widths), rng)
+    net.flat += 0.1 * rng.normal(size=net.flat.size)
+    x = rng.normal(size=(n, widths[0]))
+    whole, cache = approx.mlp_forward(net, x, return_cache=True)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        split, split_cache = approx.mlp_forward(net, x, return_cache=True, worker=worker)
+    assert _as_bytes(split_cache) == _as_bytes(cache) and split is split_cache[-1]
+
+
+def _child(code_or_args, coretype, **kwargs):
+    """A child interpreter that sees this package, with its OpenBLAS told
+    to load the kernel coretype; the variable is set on the child alone."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    src = os.path.dirname(os.path.dirname(reachbudget.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    args = ["-c", code_or_args] if isinstance(code_or_args, str) else code_or_args
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+
+
+def _child_core(coretype):
+    probe = "import ctypes\nfrom reachbudget import approx\nprint(approx._openblas_get('corename', ctypes.c_char_p))\n"
+    probed = _child(probe, coretype, timeout=60)
+    return probed.stdout.strip() if probed.returncode == 0 else "a crash"
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_the_row_split_holds_under_the_other_measured_kernels(coretype):
+    # the split must not depend on the host's kernel: the split tests
+    # run again in a child whose OpenBLAS loads another kernel it was
+    # measured under (under Haswell, float32 rows would lose bits)
+    core = _child_core(coretype)
+    if core != repr(coretype.encode()):
+        pytest.skip(f"this OpenBLAS does not load its {coretype} kernel here (reads {core})")
+    tests = [f"{__file__}::{name}" for name in (
+        "test_a_row_split_forward_is_bitwise_the_whole_forward",
+        "test_kernels_split_over_a_worker_are_bitwise_the_inline_kernels",
+    )]
+    out = _child(["-m", "pytest", "-q", "-p", "no:cacheprovider", *tests], coretype,
+                 timeout=300, cwd=os.path.dirname(__file__))
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_under_a_kernel_not_measured_the_forward_runs_whole():
+    # OpenBLAS does not promise that a row's bits ignore its neighbours,
+    # so under a kernel the split was not measured on (Prescott loads an
+    # older one) the forward keeps its rows together; the backward and
+    # Adam, exact under any kernel, still split
+    core = _child_core("Prescott")
+    if core in {repr(c) for c in approx._ROW_SPLIT_CORES} or core == "a crash":
+        pytest.skip(f"this OpenBLAS does not load an unmeasured kernel here (reads {core})")
+    code = (
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import numpy as np\nfrom reachbudget import approx\n"
+        "class Counting(ThreadPoolExecutor):\n"
+        "    jobs = 0\n"
+        "    def submit(self, fn):\n"
+        "        self.jobs += 1\n"
+        "        return super().submit(fn)\n"
+        "net = approx.mlp_init((4, 256, 256, 1), np.random.default_rng(0))\n"
+        "x = np.random.default_rng(1).normal(size=(256, 4))\n"
+        "with Counting(max_workers=1) as worker:\n"
+        "    out, cache = approx.mlp_forward(net, x, return_cache=True, worker=worker)\n"
+        "    forwards = worker.jobs\n"
+        "    approx.mlp_backward(net, np.ones((256, 1)), cache, worker=worker)\n"
+        "print(approx._FORWARD_SPLITS, forwards, worker.jobs)\n"
+    )
+    out = _child(code, "Prescott", timeout=60)
+    assert out.stdout.split() == ["False", "0", "1"], out.stdout + out.stderr
 
 
 # -- checkpoints -------------------------------------------------------------------

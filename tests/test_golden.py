@@ -45,7 +45,7 @@ from reachbudget.envkit import (
     windfield_make,
 )
 
-from oracles import tabular_q_values
+from oracles import fixed_policy_values, tabular_q_values
 from test_baselines import SOLVER_CASES
 
 ENVS = {
@@ -187,7 +187,7 @@ def _run_tabular(operator):
     if operator == "q":
         return (tabular_q_values(aug, table),)
     policy = np.random.default_rng(5).integers(0, aug.mdp.n_actions, aug.shape)
-    return (reachval.tabular_value_iteration(aug, policy=policy, gamma=0.99),)
+    return (fixed_policy_values(aug, policy, 0.99),)
 
 
 def _hazard_grid(seed):

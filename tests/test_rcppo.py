@@ -508,6 +508,15 @@ def test_every_trainer_refuses_a_schedule_that_cannot_train(pendulum, field, val
             train()
 
 
+@pytest.mark.parametrize("make_cfg", [rcppo.Phase1Config, rcppo.Phase2Config])
+@pytest.mark.parametrize("lam", [1.0, -0.1, math.nan, math.inf])
+def test_a_trace_weight_outside_the_unit_interval_is_refused_before_any_step(make_cfg, lam):
+    # refused by the config itself, where the first fold would refuse it
+    # only after a whole collect
+    with pytest.raises(ValueError, match=r"^lam must be in \[0, 1\), got"):
+        make_cfg(lam=lam)
+
+
 # -- minibatch updates on one thread or two ------------------------------------------
 
 
@@ -609,6 +618,65 @@ def test_a_non_finite_value_loss_raises_the_shared_message(monkeypatch, two_thre
         _run_update(rcppo.Phase1Config(epochs=1, minibatch_size=64), inputs, iteration=7)
 
 
+def _run_value_update(cfg, inputs, iteration=4):
+    """A value-only update's losses, value and Adam state, and next draw."""
+    _, value, _, val_adam, obs, _, _, _, ret = inputs
+    rng = _rng(98)
+    losses = rcppo._ppo_update(cfg, rng, iteration, obs, ret, value, val_adam, 40.0)
+    state = [value.flat, val_adam.m, val_adam.v, np.array([val_adam.step])]
+    return losses, state, rng.random()
+
+
+@pytest.mark.parametrize("minibatch_size", [16, 48])
+def test_a_value_only_update_on_two_threads_matches_one_thread_bitwise(monkeypatch, minibatch_size):
+    # 50 rows leave a short last minibatch of 2 rows, too few to split
+    workers = []
+    real_forward = approx.mlp_forward
+
+    def forward(*args, worker=None, **kwargs):
+        workers.append(worker is not None)
+        return real_forward(*args, worker=worker, **kwargs)
+
+    monkeypatch.setattr(approx, "mlp_forward", forward)
+    cfg = rcppo.Phase2Config(epochs=3, minibatch_size=minibatch_size)
+    runs = []
+    for two_threads in (False, True):
+        monkeypatch.setattr(rcppo, "TWO_THREAD_UPDATES", two_threads)
+        inputs = _update_inputs(34)
+        workers.clear()
+        runs.append(_run_value_update(cfg, inputs))
+        assert workers and set(workers) == {two_threads}
+    (losses1, state1, draw1), (losses2, state2, draw2) = runs
+    assert losses1 == losses2 and losses1["policy_loss"] == 0.0 and draw1 == draw2
+    for a, b in zip(state1, state2):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_phase2_refit_on_two_threads_matches_one_thread_bitwise(monkeypatch, pendulum):
+    p1 = rcppo.Phase1Config(total_steps=0, hidden=(16, 16), big_c=10.0, z_max=100.0)
+    fresh = rcppo.train_phase1(pendulum, p1)
+    cfg = rcppo.Phase2Config(total_steps=600, n_envs=2, epochs=2, minibatch_size=40, seed=6)
+    runs = []
+    for two_threads in (False, True):
+        monkeypatch.setattr(rcppo, "TWO_THREAD_UPDATES", two_threads)
+        runs.append(rcppo.finetune_phase2(pendulum, fresh.policy, fresh.value, fresh.meta, cfg))
+    (value1, rows1, meta1), (value2, rows2, meta2) = runs
+    assert rows1 and rows1 == rows2 and meta1 == meta2
+    assert value1.flat.tobytes() == value2.flat.tobytes()
+    assert value1.flat.tobytes() != fresh.value.flat.tobytes()
+
+
+@pytest.mark.parametrize("two_threads", [False, True])
+def test_a_non_finite_value_only_loss_raises_the_shared_message(monkeypatch, two_threads):
+    monkeypatch.setattr(rcppo, "TWO_THREAD_UPDATES", two_threads)
+    inputs = _update_inputs(35)
+    inputs[-1][3] = np.nan
+    threads_before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=r"non-finite loss at iteration 7 \(policy 0.0, value nan\)"):
+        _run_value_update(rcppo.Phase2Config(epochs=1, minibatch_size=64), inputs, iteration=7)
+    assert set(threading.enumerate()) == threads_before
+
+
 def _fresh_python(code, **env):
     """Output of code in a new interpreter that sees this package."""
     base = {k: v for k, v in os.environ.items() if k not in reachbudget.BLAS_THREAD_VARS}
@@ -621,8 +689,14 @@ def _fresh_python(code, **env):
     return out.stdout.split()
 
 
+# a child inherits this process's CPUs, and with fewer than two no rule
+# gives the two-thread update
+_TWO_CPUS = str(len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity")
+                else (os.cpu_count() or 1) >= 2)
+
+
 @pytest.mark.parametrize("prelude, want", [
-    ("", ["True", "1", "1", "1"]),
+    ("", [_TWO_CPUS, "1", "1", "1"]),
     ("import numpy\n", ["False", "-", "-", "-"]),
 ])
 def test_importing_the_package_before_numpy_pins_blas_to_one_thread(prelude, want):
@@ -637,6 +711,33 @@ def test_importing_the_package_before_numpy_pins_blas_to_one_thread(prelude, wan
 def test_a_blas_thread_count_set_by_the_user_is_kept_and_keeps_updates_inline():
     code = "import os\nfrom reachbudget import rcppo\nprint(rcppo.TWO_THREAD_UPDATES, os.environ['OMP_NUM_THREADS'])\n"
     assert _fresh_python(code, OMP_NUM_THREADS="2") == ["False", "2"]
+
+
+def test_numpy_loaded_first_with_one_openblas_thread_keeps_the_two_thread_update():
+    # the loaded BLAS runs one thread, though only its own variable says so
+    code = "import numpy\nfrom reachbudget import rcppo\nprint(rcppo.TWO_THREAD_UPDATES, rcppo._blas_threads())\n"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="1") == [_TWO_CPUS, "1"]
+
+
+def test_the_two_thread_rule_needs_two_cpus_and_falls_back_to_the_variables(monkeypatch):
+    for var in reachbudget.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(rcppo, "_blas_threads", lambda: 1)
+    for cpus, want in (({0}, False), ({0, 1}, True)):
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+        assert rcppo._two_thread_updates() is want
+    # where the count cannot be read, every variable must read 1
+    monkeypatch.setattr(rcppo, "_blas_threads", lambda: None)
+    assert rcppo._two_thread_updates()
+    monkeypatch.delenv("MKL_NUM_THREADS")
+    assert not rcppo._two_thread_updates()
+    monkeypatch.setattr(rcppo, "_blas_threads", lambda: 1)
+    assert rcppo._two_thread_updates()
+    monkeypatch.setattr(rcppo, "_blas_threads", lambda: 2)
+    assert not rcppo._two_thread_updates()
 
 
 # -- bisection -------------------------------------------------------------------------

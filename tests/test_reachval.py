@@ -22,6 +22,7 @@ from reachbudget.reachval import (
 from oracles import (
     backup_sweep_reference,
     dijkstra_grid,
+    fixed_policy_values,
     naive_gae,
     naive_phi,
     tabular_q_values,
@@ -270,7 +271,7 @@ def test_policy_evaluation_is_never_better_than_the_optimum(grid5):
     rng = np.random.default_rng(4)
     for _ in range(5):
         policy = rng.integers(0, 4, grid5.n_states)
-        fixed = tabular_value_iteration(aug, policy=policy, gamma=0.99)
+        fixed = fixed_policy_values(aug, policy, 0.99)
         assert np.all(optimal.values <= fixed.values + 1e-9)
 
 
